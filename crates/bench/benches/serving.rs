@@ -227,12 +227,7 @@ fn bench_serving(c: &mut Criterion) {
     // each iteration replays the same concurrent session mix through it.
     let engine = Arc::new(Engine::start(
         registry.clone(),
-        BatchPolicy {
-            max_batch: 16,
-            max_wait: Duration::from_micros(500),
-            workers: 2,
-            queue_capacity: 256,
-        },
+        BatchPolicy { max_batch: 16, workers: 2, queue_capacity: 256 },
     ));
     group.bench_function(format!("microbatch_16_{SESSIONS}sessions"), |b| {
         b.iter(|| black_box(replay(&scripts, &registry, Some(&engine))))

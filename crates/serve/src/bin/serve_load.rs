@@ -18,7 +18,7 @@
 //! ```text
 //! cargo run --release -p irs_serve --bin serve_load -- \
 //!     [--sessions 32] [--rounds 3] [--steps 8] [--patience 3] \
-//!     [--max-batch 16] [--max-wait-us 500] [--workers 2] \
+//!     [--max-batch 16] [--workers 2] \
 //!     [--http-workers 0] [--scale 0.02] [--epochs 1] \
 //!     [--compare] [--keep-alive] [--verify] \
 //!     [--log-level error|warn|info|debug|trace] [--log-format text|json]
@@ -46,7 +46,6 @@ struct Opts {
     steps: usize,
     patience: usize,
     max_batch: usize,
-    max_wait_us: u64,
     workers: usize,
     scale: f32,
     epochs: usize,
@@ -66,7 +65,6 @@ impl Default for Opts {
             steps: 8,
             patience: 3,
             max_batch: 16,
-            max_wait_us: 500,
             workers: 2,
             scale: 0.02,
             epochs: 1,
@@ -107,10 +105,6 @@ fn parse_args() -> Result<Opts, String> {
             "--max-batch" => {
                 opts.max_batch =
                     take(&args, &mut i)?.parse().map_err(|e| format!("--max-batch: {e}"))?
-            }
-            "--max-wait-us" => {
-                opts.max_wait_us =
-                    take(&args, &mut i)?.parse().map_err(|e| format!("--max-wait-us: {e}"))?
             }
             "--workers" => {
                 opts.workers =
@@ -449,7 +443,7 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: serve_load [--sessions N] [--rounds R] [--steps S] [--patience P] \
-                 [--max-batch B] [--max-wait-us U] [--workers W] [--http-workers N] \
+                 [--max-batch B] [--workers W] [--http-workers N] \
                  [--scale S] [--epochs E] [--compare] [--keep-alive] [--verify] \
                  [--log-level L] [--log-format text|json]"
             );
@@ -516,12 +510,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let batched_policy = BatchPolicy {
-        max_batch: opts.max_batch,
-        max_wait: Duration::from_micros(opts.max_wait_us),
-        workers: opts.workers,
-        queue_capacity: 1024,
-    };
+    let batched_policy =
+        BatchPolicy { max_batch: opts.max_batch, workers: opts.workers, queue_capacity: 1024 };
 
     let mut speedup = None;
     let mut reuse_win = None;
@@ -597,12 +587,7 @@ fn main() -> ExitCode {
             &opts,
         );
         engine1.print("engine1 ");
-        log_info!(
-            "serve_load",
-            "micro-batched run (max_batch {}, wait {} µs)...",
-            opts.max_batch,
-            opts.max_wait_us
-        );
+        log_info!("serve_load", "micro-batched run (max_batch {})...", opts.max_batch);
         let batched = run_load(&registry, Mode::Engine(batched_policy.clone()), &scripts, &opts);
         batched.print("batched ");
         let s = batched.throughput() / scalar.throughput().max(1e-9);

@@ -644,7 +644,6 @@ fn sample_metrics(state: &Arc<ServerState>) {
     m.snapshot_version.set(state.engine.registry().version() as f64);
     m.snapshot_params.set(snap.num_scalars() as f64);
     m.max_batch.set(policy.max_batch as f64);
-    m.max_wait_us.set(policy.max_wait.as_micros() as f64);
     m.workers.set(policy.workers as f64);
     m.http_workers.set(state.http_workers as f64);
     m.open_connections.set(state.open_conns.load(Ordering::Relaxed) as f64);

@@ -10,8 +10,9 @@
 //!   [`irs_core::InteractiveSession`] state (history ⊕ accepted path,
 //!   objective, rejection blocklist);
 //! * [`Engine`] — a **dynamic micro-batching scheduler**: worker threads
-//!   drain a bounded request queue under a max-batch-size / max-wait
-//!   policy and coalesce concurrent `next_item` requests from different
+//!   drain a bounded request queue under a work-conserving policy (take
+//!   whatever is queued, up to a max batch size, and never wait for
+//!   more) and coalesce concurrent `next_item` requests from different
 //!   sessions into single batched [`InfluenceRecommender::next_items`]
 //!   calls, sharing one PIM cache per model snapshot;
 //! * [`SnapshotRegistry`] — atomically hot-swappable model snapshots

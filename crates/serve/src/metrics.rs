@@ -184,7 +184,6 @@ pub struct ServeMetrics {
     pub(crate) snapshot_version: Gauge,
     pub(crate) snapshot_params: Gauge,
     pub(crate) max_batch: Gauge,
-    pub(crate) max_wait_us: Gauge,
     pub(crate) workers: Gauge,
     pub(crate) http_workers: Gauge,
     pub(crate) open_connections: Gauge,
@@ -219,7 +218,6 @@ impl ServeMetrics {
         let snapshot_version = r.gauge("snapshot_version", "Version of the stable snapshot");
         let snapshot_params = r.gauge("snapshot_params", "Scalar parameter count of the snapshot");
         let max_batch = r.gauge("max_batch", "Configured largest coalesced batch");
-        let max_wait_us = r.gauge("max_wait_us", "Configured batching wait budget (µs)");
         let workers = r.gauge("workers", "Scheduler worker threads");
         let http_workers = r.gauge("http_workers", "HTTP worker threads");
         let open_connections = r.gauge("open_connections", "Currently open client connections");
@@ -247,7 +245,6 @@ impl ServeMetrics {
             snapshot_version,
             snapshot_params,
             max_batch,
-            max_wait_us,
             workers,
             http_workers,
             open_connections,

@@ -1,21 +1,19 @@
 //! Dynamic micro-batching scheduler.
 //!
 //! Concurrent `next_item` requests from different sessions land in one
-//! bounded queue; worker threads drain it under a *max-batch-size /
-//! max-wait* policy — a worker takes the first available request, then
-//! keeps collecting until the batch is full or the wait budget since the
-//! first pop is spent — and answer every request in the batch with a
-//! single [`InfluenceRecommender::next_items`] call against the current
-//! model snapshot.
+//! bounded queue; worker threads drain it under a *work-conserving*
+//! policy — a worker blocks for the first request, takes whatever else
+//! is already queued (up to `max_batch`) and dispatches at once — and
+//! answer every request in the batch with a single
+//! [`InfluenceRecommender::next_items`] call against the current model
+//! snapshot.
 //!
-//! The policy trades latency for throughput explicitly: `max_wait` is the
-//! most latency a request can pay to find co-travellers; `max_batch`
-//! bounds the forward-pass size.  Under load the queue never drains
-//! between pops, so batches fill instantly and the wait budget is never
-//! charged; at low load a request waits at most `max_wait` before
-//! travelling alone — `BatchPolicy { max_batch: 1, .. }` degenerates to
-//! no batching (the baseline configuration `serve_load --compare`
-//! measures against).
+//! A request is never held back waiting for co-travellers: a worker is
+//! idle only when the queue is empty.  Under load the queue refills while
+//! the workers run their forwards, so batches form from that backlog;
+//! `max_batch` bounds the forward-pass size.  `BatchPolicy { max_batch:
+//! 1, .. }` degenerates to no batching (the baseline configuration
+//! `serve_load --compare` measures against).
 //!
 //! Batch composition is unobservable in the answers (the batched≡scalar
 //! bitwise contract), so regrouping requests by arrival timing is safe.
@@ -37,7 +35,7 @@
 use std::collections::VecDeque;
 use std::mem;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use irs_core::{ContextCache, NextQuery};
 use irs_data::{ItemId, UserId};
@@ -51,9 +49,6 @@ use crate::snapshot::{ModelSnapshot, SnapshotRegistry, NUM_ARMS};
 pub struct BatchPolicy {
     /// Largest coalesced batch (1 disables batching).
     pub max_batch: usize,
-    /// Longest a worker waits for co-travellers after the first request
-    /// of a batch arrives.
-    pub max_wait: Duration,
     /// Scheduler worker threads draining the queue.
     pub workers: usize,
     /// Bound on queued requests; producers block when it is reached
@@ -63,12 +58,7 @@ pub struct BatchPolicy {
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy {
-            max_batch: 16,
-            max_wait: Duration::from_micros(500),
-            workers: 2,
-            queue_capacity: 1024,
-        }
+        BatchPolicy { max_batch: 16, workers: 2, queue_capacity: 1024 }
     }
 }
 
@@ -500,10 +490,10 @@ fn record_queue_wait(metrics: &ServeMetrics, req: &ScoreRequest, now: Instant) {
 }
 
 /// Collect one micro-batch into `batch` (cleared first): block for the
-/// first request, then keep taking until the batch is full or `max_wait`
-/// since the first pop has elapsed.  Returns the instant of the first
-/// pop (the start of the batch's `assemble` span), or `None` when the
-/// engine shut down and the queue is drained.
+/// first request, then take whatever is already queued, up to
+/// `max_batch`, without waiting for more.  Returns the instant of the
+/// first pop (the start of the batch's `assemble` span), or `None` when
+/// the engine shut down and the queue is drained.
 fn collect_batch(
     queue: &SharedQueue,
     policy: &BatchPolicy,
@@ -512,43 +502,21 @@ fn collect_batch(
 ) -> Option<Instant> {
     batch.clear();
     let mut inner = queue.inner.lock().expect("serve queue poisoned");
-    loop {
-        if let Some(first) = inner.requests.pop_front() {
-            queue.not_full.notify_one();
-            let first_pop = Instant::now();
-            record_queue_wait(metrics, &first, first_pop);
-            batch.push(first);
-            let deadline = first_pop + policy.max_wait;
-            while batch.len() < policy.max_batch {
-                if let Some(req) = inner.requests.pop_front() {
-                    queue.not_full.notify_one();
-                    record_queue_wait(metrics, &req, Instant::now());
-                    batch.push(req);
-                    continue;
-                }
-                if inner.shutdown {
-                    break; // don't charge the wait budget during drain
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = queue
-                    .not_empty
-                    .wait_timeout(inner, deadline - now)
-                    .expect("serve queue poisoned");
-                inner = guard;
-                if timeout.timed_out() && inner.requests.is_empty() {
-                    break;
-                }
-            }
-            return Some(first_pop);
-        }
+    while inner.requests.is_empty() {
         if inner.shutdown {
             return None;
         }
         inner = queue.not_empty.wait(inner).expect("serve queue poisoned");
     }
+    let first_pop = Instant::now();
+    let take = inner.requests.len().min(policy.max_batch);
+    batch.extend(inner.requests.drain(..take));
+    drop(inner);
+    queue.not_full.notify_all();
+    for req in batch.iter() {
+        record_queue_wait(metrics, req, first_pop);
+    }
+    Some(first_pop)
 }
 
 /// Batches at most this large borrow a stack-allocated query slice; the
@@ -578,8 +546,8 @@ fn worker_loop(
         std::array::from_fn(|_| Vec::with_capacity(policy.max_batch));
     let mut cold_answers: Vec<Option<ItemId>> = Vec::with_capacity(policy.max_batch);
     while let Some(first_pop) = collect_batch(queue, policy, &mut batch, metrics) {
-        // The assemble span — time spent coalescing after the first pop
-        // — is shared by every request in the batch.
+        // The assemble span — the queue drain after the first pop — is
+        // shared by every request in the batch.
         let assembled = first_pop.elapsed();
         for req in batch.iter() {
             metrics.stages.assemble[req.arm.min(NUM_ARMS - 1)][usize::from(req.want_cache)]
@@ -776,37 +744,120 @@ mod tests {
         assert_eq!(eng.next_item_with(&mut caller, 0, 99), None, "post-shutdown answers None");
     }
 
-    #[test]
-    fn concurrent_requests_coalesce_into_batches() {
-        let eng = Arc::new(engine(BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_millis(50),
-            workers: 1,
-            queue_capacity: 64,
-        }));
-        let mut handles = Vec::new();
-        for t in 0..16usize {
-            let eng = eng.clone();
-            handles.push(std::thread::spawn(move || eng.next_item(t, vec![t], 99, vec![])));
+    /// Where a [`Gated`] model's first batched call stands.
+    #[derive(Default)]
+    struct Gate {
+        /// The first call is inside the model, parked.
+        entered: bool,
+        /// The test released it.
+        open: bool,
+    }
+
+    /// A [`Walker`] whose first batched call parks until the test opens
+    /// the gate, so a backlog builds up behind a busy worker.
+    struct Gated {
+        walker: Walker,
+        gate: Arc<(Mutex<Gate>, Condvar)>,
+    }
+
+    impl InfluenceRecommender for Gated {
+        fn name(&self) -> String {
+            "gated".into()
         }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), Some(10));
+        fn next_item(
+            &self,
+            user: UserId,
+            history: &[ItemId],
+            objective: ItemId,
+            path: &[ItemId],
+        ) -> Option<ItemId> {
+            self.walker.next_item(user, history, objective, path)
+        }
+        fn next_items_into(&self, queries: &[NextQuery<'_>], out: &mut Vec<Option<ItemId>>) {
+            let (state, cv) = &*self.gate;
+            let mut gate = state.lock().unwrap();
+            if !gate.entered {
+                gate.entered = true;
+                cv.notify_all();
+                while !gate.open {
+                    gate = cv.wait(gate).unwrap();
+                }
+            }
+            drop(gate);
+            out.extend(
+                queries.iter().map(|q| self.next_item(q.user, q.history, q.objective, q.path)),
+            );
+        }
+    }
+
+    /// Park the single worker on a first request, queue `k` more behind
+    /// it, release the worker, and return how many batches the backlog
+    /// took.  Every answer is checked against the scalar recommender.
+    fn backlog_batches(max_batch: usize, k: usize) -> u64 {
+        let gate = Arc::new((Mutex::new(Gate::default()), Condvar::new()));
+        let model = Gated { walker: Walker { base: 10 }, gate: gate.clone() };
+        let registry =
+            Arc::new(SnapshotRegistry::new(ModelSnapshot::in_memory("gated", Box::new(model))));
+        let eng = Arc::new(Engine::start(
+            registry,
+            BatchPolicy { max_batch, workers: 1, queue_capacity: 256 },
+        ));
+        let first = {
+            let eng = eng.clone();
+            std::thread::spawn(move || eng.next_item(0, vec![], 99, vec![]))
+        };
+        {
+            let (state, cv) = &*gate;
+            let mut g = state.lock().unwrap();
+            while !g.entered {
+                g = cv.wait(g).unwrap();
+            }
+        }
+        // Varied path lengths and objectives, so some answers are `None`.
+        let query = |t: usize| (t, vec![t], 11 + t % 4, vec![7; t % 3]);
+        let handles: Vec<_> = (0..k)
+            .map(|t| {
+                let eng = eng.clone();
+                let (user, history, objective, path) = query(t);
+                std::thread::spawn(move || eng.next_item(user, history, objective, path))
+            })
+            .collect();
+        while eng.queue.inner.lock().unwrap().requests.len() < k {
+            std::thread::yield_now();
+        }
+        {
+            let (state, cv) = &*gate;
+            state.lock().unwrap().open = true;
+            cv.notify_all();
+        }
+        assert_eq!(first.join().unwrap(), Some(10));
+        let scalar = Walker { base: 10 };
+        for (t, h) in handles.into_iter().enumerate() {
+            let (user, history, objective, path) = query(t);
+            assert_eq!(h.join().unwrap(), scalar.next_item(user, &history, objective, &path));
         }
         let stats = eng.stats();
-        assert_eq!(stats.requests, 16);
-        assert!(
-            stats.batches < 16,
-            "16 concurrent requests with a 50ms window must share batches (got {})",
-            stats.batches
-        );
+        assert_eq!(stats.requests, 1 + k as u64);
         eng.shutdown();
+        stats.batches - 1
+    }
+
+    #[test]
+    fn concurrent_requests_coalesce_into_batches() {
+        // A backlog that fits is answered in one batch, whatever its size…
+        assert_eq!(backlog_batches(8, 1), 1);
+        assert_eq!(backlog_batches(8, 5), 1);
+        assert_eq!(backlog_batches(8, 8), 1);
+        // …and a larger one in ⌈k / max_batch⌉ full-as-possible batches.
+        assert_eq!(backlog_batches(8, 9), 2);
+        assert_eq!(backlog_batches(4, 10), 3);
+        assert_eq!(backlog_batches(1, 3), 3);
     }
 
     #[test]
     fn batch_size_one_still_answers_everything() {
         let eng = Arc::new(engine(BatchPolicy {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             workers: 2,
             queue_capacity: 4, // force backpressure too
         }));
@@ -841,24 +892,9 @@ mod tests {
 
     #[test]
     fn oversized_batches_fall_back_to_the_heap_path() {
-        // max_batch larger than the stack query buffer exercises the
-        // heap fallback in `worker_loop`.
-        let eng = Arc::new(engine(BatchPolicy {
-            max_batch: STACK_QUERIES + 8,
-            max_wait: Duration::from_millis(20),
-            workers: 1,
-            queue_capacity: 256,
-        }));
-        let mut handles = Vec::new();
-        for t in 0..(STACK_QUERIES + 8) {
-            let eng = eng.clone();
-            handles.push(std::thread::spawn(move || eng.next_item(t, vec![], 99, vec![])));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), Some(10));
-        }
-        assert_eq!(eng.stats().requests, (STACK_QUERIES + 8) as u64);
-        eng.shutdown();
+        // A backlog larger than the stack query buffer, drained as one
+        // batch, exercises the heap fallback in `worker_loop`.
+        assert_eq!(backlog_batches(STACK_QUERIES + 8, STACK_QUERIES + 8), 1);
     }
 
     #[test]

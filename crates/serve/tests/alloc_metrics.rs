@@ -161,12 +161,7 @@ fn steady_state_metrics_scrapes_touch_no_allocator() {
     )));
     let engine = Arc::new(Engine::start(
         registry,
-        BatchPolicy {
-            max_batch: 4,
-            max_wait: Duration::from_micros(100),
-            workers: 1,
-            queue_capacity: 64,
-        },
+        BatchPolicy { max_batch: 4, workers: 1, queue_capacity: 64 },
     ));
     let server = HttpServer::bind(
         "127.0.0.1:0",
@@ -212,12 +207,22 @@ fn steady_state_metrics_scrapes_touch_no_allocator() {
 
     // Warm-up: size every buffer on the path — both workers' body
     // buffers must grow to exposition size, text annotations settle to
-    // their final values, scheduler buffers fill in.
+    // their final values, scheduler buffers fill in.  The keep-alive
+    // connection's requests mostly alternate between the two HTTP
+    // workers, so an even-length cycle would pin each route to one worker
+    // and leave the other to size its buffers inside the window.  The
+    // cycle runs both request orders plus one extra `healthz`: nine
+    // requests, so every route reaches both workers.
     for _ in 0..WARMUP {
         roundtrip_dynamic(&mut conn, &next_req, &mut buf);
         roundtrip_dynamic(&mut conn, &healthz_req, &mut buf);
         roundtrip_dynamic(&mut conn, &metrics_req, &mut buf);
         roundtrip_dynamic(&mut conn, &stats_req, &mut buf);
+        roundtrip_dynamic(&mut conn, &next_req, &mut buf);
+        roundtrip_dynamic(&mut conn, &metrics_req, &mut buf);
+        roundtrip_dynamic(&mut conn, &healthz_req, &mut buf);
+        roundtrip_dynamic(&mut conn, &stats_req, &mut buf);
+        roundtrip_dynamic(&mut conn, &healthz_req, &mut buf);
     }
 
     // Measurement: scrapes interleaved with the traffic they observe —

@@ -147,12 +147,7 @@ fn steady_state_keepalive_requests_touch_no_allocator() {
     )));
     let engine = Arc::new(Engine::start(
         registry,
-        BatchPolicy {
-            max_batch: 4,
-            max_wait: Duration::from_micros(100),
-            workers: 1,
-            queue_capacity: 64,
-        },
+        BatchPolicy { max_batch: 4, workers: 1, queue_capacity: 64 },
     ));
     let server = HttpServer::bind(
         "127.0.0.1:0",
@@ -199,9 +194,19 @@ fn steady_state_keepalive_requests_touch_no_allocator() {
     let mut buf = vec![0u8; 4096];
 
     // Warm-up: size every buffer on the path (both workers' workspaces,
-    // connection buffers, scheduler queue/batch/answer buffers).
+    // connection buffers, scheduler queue/batch/answer buffers).  The
+    // connection's requests mostly alternate between the two HTTP
+    // workers, so next/healthz alternation alone would pin each route to
+    // one worker; the back-to-back runs below mirror the measured windows
+    // and make every worker serve both routes.
     for _ in 0..WARMUP {
         roundtrip_exact(&mut conn, &next_req, &next_expected, &mut buf);
+        roundtrip_exact(&mut conn, &healthz_req, &healthz_expected, &mut buf);
+    }
+    for _ in 0..WARMUP {
+        roundtrip_exact(&mut conn, &next_req, &next_expected, &mut buf);
+    }
+    for _ in 0..WARMUP {
         roundtrip_exact(&mut conn, &healthz_req, &healthz_expected, &mut buf);
     }
 

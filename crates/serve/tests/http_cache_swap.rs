@@ -97,12 +97,7 @@ fn hot_swap_invalidates_session_caches() {
     let registry = Arc::new(SnapshotRegistry::new(initial));
     let engine = Arc::new(Engine::start(
         registry,
-        BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_micros(200),
-            workers: 2,
-            queue_capacity: 64,
-        },
+        BatchPolicy { max_batch: 8, workers: 2, queue_capacity: 64 },
     ));
     let loader: SnapshotLoader = {
         let arch = arch.clone();

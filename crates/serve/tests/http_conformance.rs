@@ -63,12 +63,7 @@ impl TestServer {
         )));
         let engine = Arc::new(Engine::start(
             registry,
-            BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_micros(100),
-                workers: 1,
-                queue_capacity: 64,
-            },
+            BatchPolicy { max_batch: 4, workers: 1, queue_capacity: 64 },
         ));
         let server = HttpServer::bind("127.0.0.1:0", engine.clone(), None, config).expect("bind");
         let addr = server.local_addr().unwrap();

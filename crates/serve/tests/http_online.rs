@@ -80,12 +80,7 @@ fn feedback_publish_weighted_routing_promote_end_to_end() {
     let registry = Arc::new(SnapshotRegistry::new(initial));
     let engine = Arc::new(Engine::start(
         registry.clone(),
-        BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_micros(200),
-            workers: 2,
-            queue_capacity: 64,
-        },
+        BatchPolicy { max_batch: 8, workers: 2, queue_capacity: 64 },
     ));
     let loader: SnapshotLoader = {
         let arch = arch.clone();
@@ -282,12 +277,7 @@ fn panicking_trainer_never_takes_down_serving() {
     let registry = Arc::new(SnapshotRegistry::new(initial));
     let engine = Arc::new(Engine::start(
         registry.clone(),
-        BatchPolicy {
-            max_batch: 4,
-            max_wait: Duration::from_micros(200),
-            workers: 1,
-            queue_capacity: 16,
-        },
+        BatchPolicy { max_batch: 4, workers: 1, queue_capacity: 16 },
     ));
     let server = HttpServer::bind(
         "127.0.0.1:0",

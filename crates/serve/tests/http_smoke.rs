@@ -73,12 +73,7 @@ fn full_protocol_with_mid_run_hot_swap() {
     let registry = Arc::new(SnapshotRegistry::new(initial));
     let engine = Arc::new(Engine::start(
         registry.clone(),
-        BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_micros(200),
-            workers: 2,
-            queue_capacity: 64,
-        },
+        BatchPolicy { max_batch: 8, workers: 2, queue_capacity: 64 },
     ));
     let loader: SnapshotLoader = {
         let arch = arch.clone();
@@ -230,12 +225,7 @@ fn idle_sessions_are_evicted_by_the_ttl_sweeper() {
     let registry = Arc::new(SnapshotRegistry::new(initial));
     let engine = Arc::new(Engine::start(
         registry,
-        BatchPolicy {
-            max_batch: 4,
-            max_wait: Duration::from_micros(200),
-            workers: 1,
-            queue_capacity: 16,
-        },
+        BatchPolicy { max_batch: 4, workers: 1, queue_capacity: 16 },
     ));
     let server = HttpServer::bind(
         "127.0.0.1:0",

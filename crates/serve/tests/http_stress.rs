@@ -52,12 +52,7 @@ fn boot(
     )));
     let engine = Arc::new(Engine::start(
         registry,
-        BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_micros(200),
-            workers: 2,
-            queue_capacity: 256,
-        },
+        BatchPolicy { max_batch: 8, workers: 2, queue_capacity: 256 },
     ));
     let server = HttpServer::bind("127.0.0.1:0", engine.clone(), None, config).expect("bind");
     let addr = server.local_addr().unwrap();

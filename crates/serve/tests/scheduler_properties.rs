@@ -12,7 +12,6 @@
 //! would flip an argmax somewhere in these mixes.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use irs_core::{
     run_interactive_session, InfluenceRecommender, InteractiveSession, Irn, IrnConfig,
@@ -87,12 +86,7 @@ proptest! {
         let w = world();
         let engine = Arc::new(Engine::start(
             w.registry.clone(),
-            BatchPolicy {
-                max_batch,
-                max_wait: Duration::from_micros(300),
-                workers,
-                queue_capacity: 64,
-            },
+            BatchPolicy { max_batch, workers, queue_capacity: 64 },
         ));
         // Normalise ids into the catalogue and dedupe histories so the
         // no-repeat contract has room to answer.
@@ -137,12 +131,7 @@ proptest! {
         let w = world();
         let engine = Arc::new(Engine::start(
             w.registry.clone(),
-            BatchPolicy {
-                max_batch,
-                max_wait: Duration::from_micros(300),
-                workers: 2,
-                queue_capacity: 64,
-            },
+            BatchPolicy { max_batch, workers: 2, queue_capacity: 64 },
         ));
         let cases: Vec<(usize, Vec<ItemId>, ItemId)> = mix
             .iter()

@@ -5,7 +5,7 @@
 //! irs train     [--dataset ...] [--scale S] [--epochs N] --model-out FILE
 //! irs generate  --model FILE [--dataset ...] [--scale S] [--users N] [--m M]
 //! irs evaluate  --model FILE [--dataset ...] [--scale S] [--users N] [--m M]
-//! irs serve     --model FILE [--port P] [--max-batch B] [--max-wait-us U] [--workers W]
+//! irs serve     --model FILE [--port P] [--max-batch B] [--workers W]
 //!               [--session-ttl-s S] [--http-workers N] [--idle-timeout-s S]
 //!               [--context-cache-mb MB] [--online-train] [--publish-every-s S]
 //!               [--replay-cap N] [--log-level L] [--log-format text|json]
@@ -21,7 +21,9 @@
 //! architecture check.
 //!
 //! `serve` exposes the online serving subsystem (`irs_serve`): per-user
-//! sessions, dynamic micro-batching, `POST /v1/admin/swap` hot-swaps of
+//! sessions, work-conserving micro-batching (a request never waits for
+//! co-travellers; batches form from the queue backlog, up to
+//! `--max-batch`), `POST /v1/admin/swap` hot-swaps of
 //! retrained snapshots, and incremental per-session context caches
 //! (budgeted by `--context-cache-mb`; hot-swaps invalidate them).
 //! With `--online-train` it also runs a background trainer that folds
@@ -61,7 +63,6 @@ struct Opts {
     movies: Option<String>,
     port: u16,
     max_batch: usize,
-    max_wait_us: u64,
     workers: usize,
     patience: usize,
     /// Idle-session eviction TTL in seconds (0 disables the sweeper).
@@ -93,7 +94,7 @@ fn usage() -> ExitCode {
          [--dataset lastfm|movielens] [--scale S] [--epochs N] \
          [--users N] [--m M] [--model FILE] [--model-out FILE] \
          [--ratings FILE] [--movies FILE] \
-         [--port P] [--max-batch B] [--max-wait-us U] [--workers W] [--patience P] \
+         [--port P] [--max-batch B] [--workers W] [--patience P] \
          [--session-ttl-s S] [--http-workers N] [--idle-timeout-s S] \
          [--context-cache-mb MB] [--layout prepadded|append] \
          [--online-train] [--publish-every-s S] [--replay-cap N] \
@@ -118,7 +119,6 @@ fn parse_args() -> Result<Opts, String> {
         movies: None,
         port: 7878,
         max_batch: 16,
-        max_wait_us: 500,
         workers: 2,
         patience: 3,
         session_ttl_s: 900,
@@ -168,10 +168,6 @@ fn parse_args() -> Result<Opts, String> {
             "--max-batch" => {
                 opts.max_batch =
                     take(&args, &mut i)?.parse().map_err(|e| format!("--max-batch: {e}"))?
-            }
-            "--max-wait-us" => {
-                opts.max_wait_us =
-                    take(&args, &mut i)?.parse().map_err(|e| format!("--max-wait-us: {e}"))?
             }
             "--workers" => {
                 opts.workers =
@@ -458,12 +454,7 @@ fn cmd_serve(opts: &Opts) -> ExitCode {
     let registry = Arc::new(SnapshotRegistry::new(initial));
     let engine = Arc::new(Engine::start(
         registry.clone(),
-        BatchPolicy {
-            max_batch: opts.max_batch,
-            max_wait: Duration::from_micros(opts.max_wait_us),
-            workers: opts.workers,
-            queue_capacity: 1024,
-        },
+        BatchPolicy { max_batch: opts.max_batch, workers: opts.workers, queue_capacity: 1024 },
     ));
     let loader: SnapshotLoader = Arc::new(move |path: &str| arch.load_snapshot(path));
     let session_ttl = (opts.session_ttl_s > 0).then(|| Duration::from_secs(opts.session_ttl_s));
@@ -492,8 +483,11 @@ fn cmd_serve(opts: &Opts) -> ExitCode {
     match server.local_addr() {
         Ok(addr) => log_info!(
             "serve",
-            "serving {label} on http://{addr} ({} items, {} users; max_batch {}, wait {} µs, {} workers)",
-            dataset.num_items, dataset.num_users, opts.max_batch, opts.max_wait_us, opts.workers
+            "serving {label} on http://{addr} ({} items, {} users; max_batch {}, {} workers)",
+            dataset.num_items,
+            dataset.num_users,
+            opts.max_batch,
+            opts.workers
         ),
         Err(e) => {
             log_error!("serve", "cannot resolve bound address: {e}");
@@ -625,7 +619,6 @@ fn parse_defaults(opts: &Opts) -> Opts {
         movies: opts.movies.clone(),
         port: opts.port,
         max_batch: opts.max_batch,
-        max_wait_us: opts.max_wait_us,
         workers: opts.workers,
         patience: opts.patience,
         session_ttl_s: opts.session_ttl_s,
