@@ -197,11 +197,13 @@ impl Default for NeuralTrainConfig {
 /// Start index of the hopping context window for a history of `len`
 /// interactions under a model window budget of `max_len`.
 ///
-/// Incremental session caches (SASRec's per-layer K/V rows, GRU4Rec's
-/// carried hidden state) are prefix caches: a hit requires the previous
-/// window to be a prefix of the current one.  A window that slides by one
-/// every step (`len - max_len`) changes its first token on *every* step
-/// past `max_len`, so long sessions degrade to a full per-step rebuild.
+/// Incremental session caches (the per-layer K/V rows of SASRec and of
+/// IRN's append-only layout, GRU4Rec's carried hidden state) are prefix
+/// caches: a hit requires the previous window to be a prefix of the
+/// current one.  IRN calls this with its `max_len − 1`, keeping one slot
+/// for the objective.  A window that slides by one every step
+/// (`len - max_len`) changes its first token on *every* step past
+/// `max_len`, so long sessions degrade to a full per-step rebuild.
 /// Instead the window start advances in hops of `H = max(1, max_len/2)`:
 ///
 /// ```text

@@ -304,9 +304,9 @@ const LONG_SESSION_LENGTHS: [usize; 3] = [8, 64, 256];
 fn bench_long_session(c: &mut Criterion) {
     // Timing is weight-independent; a tiny synthetic catalogue with one
     // training epoch keeps setup short.  `max_len` must cover the
-    // longest context plus the objective slot, otherwise the append
-    // window slides mid-measurement and every step degrades to a
-    // bounded replay instead of a hit.
+    // longest context plus the objective slot, otherwise the hopping
+    // append window cuts the longer contexts and the sweep times the
+    // window instead of the session length.
     let dataset = generate(&SynthConfig::tiny(0x10f6)).dataset;
     let split = split_dataset(&dataset, &SplitConfig::small());
     let n = dataset.num_items;

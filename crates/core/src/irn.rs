@@ -79,8 +79,10 @@ pub struct IrnConfig {
     /// places context items at absolute positions `0..c` with the
     /// objective as a fixed appended query slot, which keeps encoded
     /// prefixes stable across serve steps and enables the per-session
-    /// K/V cache ([`Irn::score_next_cached`]).  Training always uses the
-    /// pre-padded layout; this only routes the scoring paths.
+    /// K/V cache ([`Irn::score_next_cached`]).  Contexts longer than
+    /// `max_len − 1` items are cut by a hopping window, not a sliding
+    /// one, so the cache keeps hitting on long sessions.  Training always
+    /// uses the pre-padded layout; this only routes the scoring paths.
     pub layout: EncodingLayout,
     /// Shared training options.
     pub train: NeuralTrainConfig,
@@ -572,15 +574,19 @@ impl Irn {
     // Append-only layout: cold path + per-session incremental cache
     // ------------------------------------------------------------------
 
-    /// The append-only context window: the most recent `T − 1` context
-    /// items (one slot stays reserved for the objective).  An empty
-    /// context is substituted with a single PAD token so there is always
-    /// a last context row to read logits from — the one place this
-    /// layout is not comparable to the pre-padded one, which reads a PAD
-    /// row out of a fully padded window instead.
+    /// The append-only context window over a budget of `T − 1` context
+    /// items (one slot stays reserved for the objective).  Up to `T − 1`
+    /// items the whole context is kept; past that the start advances in
+    /// hops of `H = (T − 1) / 2` ([`irs_baselines::hopping_window_start`],
+    /// the policy SASRec and GRU4Rec share), so the window holds more than
+    /// `T − 1 − H` and at most `T − 1` items, and the encoded prefix stays
+    /// stable for `H` steps at a time.  An empty context is substituted with a
+    /// single PAD token so there is always a last context row to read
+    /// logits from — the one place this layout is not comparable to the
+    /// pre-padded one, which reads a PAD row out of a fully padded window
+    /// instead.
     fn append_window(&self, context: &[ItemId]) -> Vec<ItemId> {
-        let w = self.config.max_len - 1;
-        let start = context.len().saturating_sub(w);
+        let start = irs_baselines::hopping_window_start(context.len(), self.config.max_len - 1);
         if context[start..].is_empty() {
             vec![pad_token(self.num_items)]
         } else {
@@ -754,9 +760,11 @@ impl Irn {
     /// `(user, objective, w_t)` and the stored tokens to be a prefix of
     /// the current window; then only the new suffix is encoded —
     /// `O(context)` work per serve step instead of `O(context²)`.  Once
-    /// a session outgrows `max_len − 1` items the window slides and the
-    /// stored prefix stops matching, so steps degrade to a bounded full
-    /// replay of the window.
+    /// a session outgrows `max_len − 1` items the window start hops
+    /// forward once every `H = (max_len − 1) / 2` steps
+    /// ([`irs_baselines::hopping_window_start`]); between hops the stored
+    /// prefix keeps matching, and a hop rebuilds the shortened window
+    /// once.
     ///
     /// Bitwise identical to the cold [`Irn::score_next`] in this layout:
     /// every float accumulates in the same order over the same visible
@@ -1169,6 +1177,29 @@ mod tests {
     }
 
     #[test]
+    fn cached_scores_match_cold_append_bitwise_on_long_sessions() {
+        let seqs = block_seqs(12);
+        let model = Irn::fit(&seqs, &[], 10, 6, &append_config(), None);
+        let window = model.config.max_len - 1; // 9 items, hop H = 4
+        let mut cache = model.new_append_cache();
+        // Runs three hops and more past the window.  A hop shortens the
+        // window, so the stored tokens can never be its prefix: hops miss.
+        let session: Vec<ItemId> = (0..window + 14).map(|i| (i * 7) % 10).collect();
+        let start = |len: usize| irs_baselines::hopping_window_start(len, window);
+        assert!(start(session.len()) >= 3 * (window / 2), "session must hop at least 3 times");
+        for step in 0..=session.len() {
+            let ctx = &session[..step];
+            let (scores, hit) = model.score_next_cached(2, ctx, 8, &mut cache);
+            let reuses = step >= 2 && start(step) == start(step - 1);
+            assert_eq!(hit, reuses, "unexpected hit flag at step {step}");
+            let cold = model.score_next(2, ctx, 8);
+            for (a, b) in scores.iter().zip(&cold) {
+                assert_eq!(a.to_bits(), b.to_bits(), "step {step}: cached {a} vs cold {b}");
+            }
+        }
+    }
+
+    #[test]
     fn cache_rebuilds_on_prefix_or_objective_change() {
         let seqs = block_seqs(12);
         let model = Irn::fit(&seqs, &[], 10, 6, &append_config(), None);
@@ -1195,19 +1226,29 @@ mod tests {
     fn next_item_cached_matches_next_item() {
         let seqs = block_seqs(12);
         let model = Irn::fit(&seqs, &[], 10, 6, &append_config(), None);
-        let mut cache = model.new_context_cache().expect("append layout has a cache");
-        let mut path: Vec<ItemId> = Vec::new();
-        for step in 0..4 {
-            let q = NextQuery { user: 1, history: &[0, 5], objective: 9, path: &path };
-            let (answer, hit) = model.next_item_cached(&q, cache.as_mut());
-            assert_eq!(answer, model.next_item(1, &[0, 5], 9, &path), "step {step}");
-            assert_eq!(hit, step > 0, "unexpected hit flag at step {step}");
-            match answer {
-                Some(item) => path.push(item),
-                None => break,
+        let window = model.config.max_len - 1;
+        // A short history, and one past the 9-item window whose path
+        // crosses a hop.
+        let long: Vec<ItemId> = [0, 5, 1, 6].repeat(3);
+        for history in [&[0, 5][..], &long[..]] {
+            let mut cache = model.new_context_cache().expect("append layout has a cache");
+            let mut path: Vec<ItemId> = Vec::new();
+            for step in 0..5 {
+                let q = NextQuery { user: 1, history, objective: 9, path: &path };
+                let (answer, hit) = model.next_item_cached(&q, cache.as_mut());
+                assert_eq!(answer, model.next_item(1, history, 9, &path), "step {step}");
+                let len = history.len() + step;
+                let reuses = step > 0
+                    && irs_baselines::hopping_window_start(len, window)
+                        == irs_baselines::hopping_window_start(len - 1, window);
+                assert_eq!(hit, reuses, "unexpected hit flag at step {step}");
+                match answer {
+                    Some(item) => path.push(item),
+                    None => break,
+                }
             }
+            assert!(cache.resident_bytes() > 0);
         }
-        assert!(cache.resident_bytes() > 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! holds if a cached serve step is *unobservable* in the scores: the
 //! incremental path must accumulate every float in the same order over
 //! the same visible keys as a from-scratch encode.  These tests drive
-//! random session mixes — growing prefixes, window slides past
+//! random session mixes — growing prefixes, window hops past
 //! `max_len`, mid-prefix mutations that force a rebuild — through all
 //! four cached families:
 //!
@@ -18,8 +18,8 @@
 use std::sync::OnceLock;
 
 use irs_baselines::{
-    Caser, CaserConfig, Gru4Rec, Gru4RecConfig, NeuralTrainConfig, SasRec, SasRecConfig,
-    SequentialScorer,
+    hopping_window_start, Caser, CaserConfig, Gru4Rec, Gru4RecConfig, NeuralTrainConfig, SasRec,
+    SasRecConfig, SequentialScorer,
 };
 use irs_core::{EncodingLayout, Irn, IrnConfig};
 use irs_data::split::{split_dataset, SplitConfig};
@@ -114,7 +114,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Every cached baseline family scores a growing session — including
-    /// window slides past `max_len` — exactly like its cold path, then
+    /// window hops past `max_len` — exactly like its cold path, then
     /// survives a mid-prefix mutation (forced rebuild) still bitwise.
     #[test]
     fn baseline_incremental_matches_cold_bitwise(
@@ -146,23 +146,33 @@ proptest! {
 
     /// The IRN append-only cache — context K/V rows *plus* the pinned
     /// objective ladder — replays a growing session bitwise against the
-    /// cold append encode, across random users and objectives.
+    /// cold append encode, across random users and objectives.  Sessions
+    /// run up to 23 items, several hops past the 7-item window at
+    /// `max_len = 8`, and exactly the steps on which the window start
+    /// stays put reuse the cached prefix.
     #[test]
     fn irn_incremental_matches_cold_bitwise(
-        session in proptest::collection::vec(0usize..ITEM_BOUND, 0..14),
+        session in proptest::collection::vec(0usize..ITEM_BOUND, 0..24),
         user in 0usize..12,
         objective in 0usize..ITEM_BOUND,
-        (mutate, flip_at, flip_to) in (0usize..2, 0usize..14, 0usize..ITEM_BOUND),
+        (mutate, flip_at, flip_to) in (0usize..2, 0usize..24, 0usize..ITEM_BOUND),
     ) {
         let f = fixture();
         let session: Vec<ItemId> = session.iter().map(|&i| i % f.num_items).collect();
         let user = user % f.num_users;
         let objective = objective % f.num_items;
+        let window = f.irn.config().max_len - 1;
         let mut cache = f.irn.new_append_cache();
         for step in 0..=session.len() {
             let ctx = &session[..step];
-            let (inc, _hit) = f.irn.score_next_cached(user, ctx, objective, &mut cache);
+            let (inc, hit) = f.irn.score_next_cached(user, ctx, objective, &mut cache);
             assert_bitwise("IRN", step, &inc, &f.irn.score_next(user, ctx, objective));
+            // Step 0 primes and step 1 replaces the PAD placeholder; after
+            // that exactly the hops rebuild (a hop shortens the window, so
+            // the stored tokens can never be its prefix).
+            let reuses = step >= 2
+                && hopping_window_start(step, window) == hopping_window_start(step - 1, window);
+            prop_assert_eq!(hit, reuses, "IRN: hit flag at step {}", step);
         }
         if mutate == 1 && !session.is_empty() {
             let mut mutated = session;

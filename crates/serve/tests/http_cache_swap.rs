@@ -1,14 +1,16 @@
-//! HTTP-level context-cache test: a session served through the full
+//! HTTP-level context-cache tests: a session served through the full
 //! stack (frontend → session store → scheduler → cached model path)
-//! must hit its per-session cache on repeat steps, and a snapshot
-//! hot-swap mid-session must *invalidate* the cache — the next answer
-//! comes from the new weights, never from rows encoded under the old
-//! ones.  Expected answers are computed against the in-process models'
-//! cold scalar path, which the cached path is bitwise-pinned to.
+//! must hit its per-session cache on repeat steps — including a long
+//! session past the model window, whose window start hops — and a
+//! snapshot hot-swap mid-session must *invalidate* the cache: the next
+//! answer comes from the new weights, never from rows encoded under the
+//! old ones.  Expected answers are computed against the in-process
+//! models' cold scalar path, which the cached path is bitwise-pinned to.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use irs_core::{EncodingLayout, InfluenceRecommender, Irn, IrnConfig, NeuralTrainConfig};
@@ -19,7 +21,7 @@ use irs_serve::{
     SnapshotRegistry,
 };
 
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, JsonValue) {
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, JsonValue) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     write!(
@@ -45,12 +47,10 @@ fn stat(stats: &JsonValue, key: &str) -> usize {
     stats.get(key).and_then(JsonValue::as_usize).unwrap_or_else(|| panic!("missing stat {key}"))
 }
 
-#[test]
-fn hot_swap_invalidates_session_caches() {
-    let dataset = generate(&SynthConfig::tiny(0x5a1)).dataset;
-    let split = split_dataset(&dataset, &SplitConfig::small());
-    let n = dataset.num_items;
-    let config = IrnConfig {
+/// A small append-layout IRN configuration: a 9-item context window
+/// (`max_len − 1`), so the window start hops by `H = 4`.
+fn append_config() -> IrnConfig {
+    IrnConfig {
         dim: 8,
         user_dim: 4,
         layers: 1,
@@ -59,7 +59,55 @@ fn hot_swap_invalidates_session_caches() {
         layout: EncodingLayout::AppendOnly,
         train: NeuralTrainConfig { epochs: 1, ..Default::default() },
         ..Default::default()
+    }
+}
+
+/// A running frontend whose `/v1/admin/swap` loads snapshots of the
+/// same architecture.
+struct Served {
+    addr: SocketAddr,
+    engine: Arc<Engine>,
+    thread: JoinHandle<std::io::Result<()>>,
+}
+
+fn serve(arch: &IrnArchitecture, snapshot: &std::path::Path) -> Served {
+    let initial = arch.load_snapshot(snapshot.to_str().unwrap()).unwrap();
+    let registry = Arc::new(SnapshotRegistry::new(initial));
+    let engine = Arc::new(Engine::start(
+        registry,
+        BatchPolicy { max_batch: 8, workers: 2, queue_capacity: 64 },
+    ));
+    let loader: SnapshotLoader = {
+        let arch = arch.clone();
+        Arc::new(move |path: &str| arch.load_snapshot(path))
     };
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        engine.clone(),
+        Some(loader),
+        ServerConfig { session_shards: 4, context_cache_mb: 8, ..Default::default() },
+    )
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let thread = std::thread::spawn(move || server.run());
+    Served { addr, engine, thread }
+}
+
+impl Served {
+    fn shutdown(self) {
+        let (status, _) = request(self.addr, "POST", "/v1/admin/shutdown", "");
+        assert_eq!(status, 200);
+        self.thread.join().expect("server thread").expect("server run");
+        self.engine.shutdown();
+    }
+}
+
+#[test]
+fn hot_swap_invalidates_session_caches() {
+    let dataset = generate(&SynthConfig::tiny(0x5a1)).dataset;
+    let split = split_dataset(&dataset, &SplitConfig::small());
+    let n = dataset.num_items;
+    let config = append_config();
     let model_a = Irn::fit(&split.train, &[], n, dataset.num_users, &config, None);
     // Same architecture, different training seed: genuinely different
     // weights behind the same loader.
@@ -91,27 +139,9 @@ fn hot_swap_invalidates_session_caches() {
         })
         .expect("no objective keeps the session open for three steps");
 
-    let arch =
-        IrnArchitecture { num_items: n, num_users: dataset.num_users, config: config.clone() };
-    let initial = arch.load_snapshot(path_a.to_str().unwrap()).unwrap();
-    let registry = Arc::new(SnapshotRegistry::new(initial));
-    let engine = Arc::new(Engine::start(
-        registry,
-        BatchPolicy { max_batch: 8, workers: 2, queue_capacity: 64 },
-    ));
-    let loader: SnapshotLoader = {
-        let arch = arch.clone();
-        Arc::new(move |path: &str| arch.load_snapshot(path))
-    };
-    let server = HttpServer::bind(
-        "127.0.0.1:0",
-        engine.clone(),
-        Some(loader),
-        ServerConfig { session_shards: 4, context_cache_mb: 8, ..Default::default() },
-    )
-    .expect("bind");
-    let addr = server.local_addr().unwrap();
-    let server_thread = std::thread::spawn(move || server.run());
+    let arch = IrnArchitecture { num_items: n, num_users: dataset.num_users, config };
+    let served = serve(&arch, &path_a);
+    let addr = served.addr;
 
     let body = format!(
         "{{\"user\": {user}, \"history\": [{}], \"objective\": {objective}}}",
@@ -166,8 +196,83 @@ fn hot_swap_invalidates_session_caches() {
     let (_, stats) = request(addr, "GET", "/v1/stats", "");
     assert!(stat(&stats, "cache_invalidations") >= 1, "swap must invalidate the cache: {stats}");
 
-    let (status, _) = request(addr, "POST", "/v1/admin/shutdown", "");
-    assert_eq!(status, 200);
-    server_thread.join().expect("server thread").expect("server run");
-    engine.shutdown();
+    served.shutdown();
+}
+
+/// A session whose history already exceeds the 9-item window keeps its
+/// cache hitting: the window start hops once per `H = 4` steps, so only
+/// the priming step and the hops rebuild (a sliding window would miss on
+/// every step).
+#[test]
+fn long_sessions_keep_hitting_between_window_hops() {
+    let dataset = generate(&SynthConfig::tiny(0x5a2)).dataset;
+    let split = split_dataset(&dataset, &SplitConfig::small());
+    let n = dataset.num_items;
+    let config = append_config();
+    let hop = (config.max_len - 1) / 2;
+    let steps = 2 * hop;
+    let model = Irn::fit(&split.train, &[], n, dataset.num_users, &config, None);
+
+    let dir = std::env::temp_dir().join("irs_serve_cache_hop_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.irsp");
+    model.save(std::fs::File::create(&path).unwrap()).unwrap();
+
+    // A history past the window, and an objective the model does not
+    // propose within `steps` accepted steps, so the session stays open.
+    let user = 1usize;
+    let history: Vec<usize> = (0..config.max_len + 2).collect();
+    let objective = (0..n)
+        .filter(|obj| !history.contains(obj))
+        .find(|&obj| {
+            let mut path = Vec::new();
+            (0..steps).all(|_| match model.next_item(user, &history, obj, &path) {
+                Some(item) if item != obj => {
+                    path.push(item);
+                    true
+                }
+                _ => false,
+            })
+        })
+        .expect("no objective keeps the session open long enough");
+
+    let arch = IrnArchitecture { num_items: n, num_users: dataset.num_users, config };
+    let served = serve(&arch, &path);
+    let addr = served.addr;
+    let history_json: Vec<String> = history.iter().map(usize::to_string).collect();
+    let body = format!(
+        "{{\"user\": {user}, \"history\": [{}], \"objective\": {objective}, \"max_len\": {steps}}}",
+        history_json.join(",")
+    );
+    let (status, created) = request(addr, "POST", "/v1/session", &body);
+    assert_eq!(status, 200, "create failed: {created}");
+    let sid = created.get("session_id").and_then(JsonValue::as_usize).expect("session id");
+    let next_url = format!("/v1/session/{sid}/next");
+    let feedback_url = format!("/v1/session/{sid}/feedback");
+
+    let (_, before) = request(addr, "GET", "/v1/stats", "");
+    let mut path = Vec::new();
+    for step in 0..steps {
+        let (status, next) = request(addr, "POST", &next_url, "");
+        assert_eq!(status, 200, "step {step}: {next}");
+        let item = next.get("item").and_then(JsonValue::as_usize).expect("proposed item");
+        assert_eq!(Some(item), model.next_item(user, &history, objective, &path), "step {step}");
+        let (status, _) = request(
+            addr,
+            "POST",
+            &feedback_url,
+            &format!("{{\"item\": {item}, \"accepted\": true}}"),
+        );
+        assert_eq!(status, 200);
+        path.push(item);
+    }
+    let (_, after) = request(addr, "GET", "/v1/stats", "");
+    let hits = stat(&after, "cache_hits") - stat(&before, "cache_hits");
+    let floor = steps - steps.div_ceil(hop) - 1;
+    assert!(
+        hits >= floor,
+        "{hits} cache hits over {steps} long-session steps, expected >= {floor}"
+    );
+
+    served.shutdown();
 }
