@@ -234,22 +234,60 @@ fn parse_keyword(
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     let start = *pos;
+    scan_number(bytes, pos)
+        .map(JsonValue::Num)
+        .ok_or_else(|| format!("invalid number at byte {start}"))
+}
+
+/// Scan one number at `*pos` with the RFC 8259 grammar
+/// (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`) — no leading
+/// `+`, no leading zeros, no empty fraction or exponent — and advance past
+/// it.  Both parsers call this; a leading zero ends the number, so `01`
+/// fails on the trailing `1`.
+fn scan_number(bytes: &[u8], pos: &mut usize) -> Option<f64> {
+    let start = *pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+        *pos > from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    // JSON requires a digit here; `f64::from_str` alone would also
-    // accept `+1` or `.5`.
-    if !matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-        return Err(format!("invalid number at byte {start}"));
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return None,
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        if !digits(pos) {
+            return None;
+        }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    let n: f64 = text.parse().map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
-    Ok(JsonValue::Num(n))
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return None;
+        }
+    }
+    // The scanned span is ASCII, so the UTF-8 check cannot fail.
+    std::str::from_utf8(&bytes[start..*pos]).ok()?.parse().ok()
+}
+
+/// The code point of a `\u` escape whose four hex digits start at
+/// `bytes[at]`: exactly four ASCII hex digits, or `None` (a bare
+/// `from_str_radix` would also take a leading `+`).
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    let hex = bytes.get(at..at + 4)?;
+    hex.iter().try_fold(0u32, |code, &b| Some(code * 16 + (b as char).to_digit(16)?))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -274,14 +312,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        let code = hex4(bytes, *pos + 1)
+                            .ok_or_else(|| format!("invalid \\u escape at byte {}", *pos))?;
                         // Surrogate pairs are not needed by the protocol;
                         // map unpaired surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -512,23 +544,7 @@ impl JsonSlab {
 
     fn parse_number(&mut self, bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
         let start = *pos;
-        if bytes.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        // JSON requires a digit here; `f64::from_str` alone would also
-        // accept `+1` or `.5`.
-        if !matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            return Err(JsonError { at: start, msg: "invalid number" });
-        }
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        {
-            *pos += 1;
-        }
-        // The span is ASCII by construction of the scan above.
-        let text = std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|_| JsonError { at: start, msg: "invalid number" })?;
-        let n: f64 = text.parse().map_err(|_| JsonError { at: start, msg: "invalid number" })?;
+        let n = scan_number(bytes, pos).ok_or(JsonError { at: start, msg: "invalid number" })?;
         self.push(Payload::Num(n))
     }
 
@@ -628,13 +644,8 @@ impl JsonSlab {
                         Some(b'b') => self.text.push(0x08),
                         Some(b'f') => self.text.push(0x0c),
                         Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or(JsonError { at: *pos, msg: "truncated \\u escape" })?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| JsonError { at: *pos, msg: "invalid \\u escape" })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError { at: *pos, msg: "invalid \\u escape" })?;
+                            let code = hex4(bytes, *pos + 1)
+                                .ok_or(JsonError { at: *pos, msg: "invalid \\u escape" })?;
                             let c = char::from_u32(code).unwrap_or('\u{fffd}');
                             let mut buf = [0u8; 4];
                             self.text.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());

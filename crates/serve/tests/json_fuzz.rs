@@ -226,6 +226,7 @@ fn handcrafted_adversarial_corpus_is_handled_without_panic() {
         b"\"\\u12\"",
         b"\"\\u123",
         b"\"\\uzzzz\"",
+        b"\"\\u+041\"",
         b"tru",
         b"truex",
         b"nul",
@@ -235,6 +236,12 @@ fn handcrafted_adversarial_corpus_is_handled_without_panic() {
         b".5e",
         b"--1",
         b"0x10",
+        b"01",
+        b"-01",
+        b"00",
+        b"1.",
+        b"1.e5",
+        b"{\"user\": 01}",
         b"{\"a\"}",
         b"{\"a\":}",
         b"{:1}",

@@ -32,12 +32,15 @@
 //! ```
 //!
 //! The engine is deliberately eager: every model in the workspace trains in
-//! seconds on CPU at the scales used by the experiment harness.  The dense
-//! matmul kernels ([`matmul_into`]) are blocked and fan large shapes out
-//! over `std::thread::scope` threads, but always accumulate each output
-//! element in the same order — determinism (fixed seeds => bitwise
-//! identical results, regardless of core count or batching) is a design
-//! requirement for the paper-reproduction experiments.
+//! seconds on CPU at the scales used by the experiment harness.  Every
+//! product — 2-D, batched, transposed, over strided views — is one
+//! [`gemm`] call over [`Operand`]s (storage, [`BatchLayout`], transpose
+//! flag); single dense products run the blocked [`matmul_into`].  Large
+//! shapes fan out over `std::thread::scope` threads, but each output
+//! element always accumulates in the same order — determinism (fixed
+//! seeds => bitwise identical results, regardless of core count or
+//! batching) is a design requirement for the paper-reproduction
+//! experiments.
 
 pub mod gradcheck;
 mod graph;
@@ -48,9 +51,8 @@ mod tensor;
 
 pub use graph::{BackwardCtx, Graph, Var, VarId};
 pub use tensor::{
-    bmm_into, bmm_layout_into, bmm_nt_db_layout_into, bmm_nt_into, bmm_nt_layout_into, bmm_tn_into,
-    bmm_tn_layout_into, matmul_into, matmul_into_packed, matmul_into_plain, matmul_nt_into,
-    matmul_tn_into, set_kernel_threads, BatchLayout, Tensor, TensorError, ViewMeta,
+    gemm, matmul_into, matmul_into_packed, matmul_into_plain, set_kernel_threads, BatchLayout,
+    Operand, Tensor, TensorError, ViewMeta,
 };
 
 /// Numerically stable log-sum-exp over a slice.

@@ -3,31 +3,27 @@
 //! Every op draws its output from the graph's recycled-buffer pool
 //! ([`crate::Graph::alloc_out`]) so repeated steps over a reset graph run
 //! allocation-free, and every backward closure works directly against the
-//! upstream gradient and parent values (no defensive clones).  The matmul
-//! family routes its backward — matmuls against transposed operands —
-//! through the blocked transposed-accumulate kernels
-//! ([`crate::matmul_nt_into`] / [`crate::matmul_tn_into`]), preserving
-//! per-element accumulation order and the skip-zero rule so gradients are
-//! bitwise identical to the historical transpose-then-multiply path.
+//! upstream gradient and parent values (no defensive clones).  Every
+//! product — forward, and the backward's products against transposed
+//! operands — is one [`crate::gemm`] call over [`Operand`]s, which keeps
+//! per-element accumulation order and the skip-zero rule, so values and
+//! gradients are bitwise identical to transposing, materialising and
+//! multiplying.
 
 use crate::graph::Var;
-use crate::tensor::{
-    bmm_into, bmm_layout_into, bmm_nt_db_layout_into, bmm_nt_into, bmm_nt_layout_into, bmm_tn_into,
-    bmm_tn_layout_into, matmul_into, matmul_nt_into, matmul_tn_into, BatchLayout, Tensor,
-};
+use crate::tensor::{gemm, BatchLayout, Operand, Tensor};
 
-/// Resolve a batched operand for the stride-walking kernels: its raw
-/// storage plus a [`BatchLayout`].  Dense tensors and layout-compatible
-/// views are zero-copy; an incompatible view (non-contiguous rows, e.g. a
-/// transpose view) falls back to a materialised contiguous copy parked in
-/// `holder`.
-fn as_batched<'t>(t: &'t Tensor, holder: &'t mut Option<Tensor>) -> (&'t [f32], BatchLayout) {
+/// Resolve a batched tensor as a [`gemm`] operand: its raw storage plus a
+/// [`BatchLayout`].  Dense tensors and layout-compatible views are
+/// zero-copy; an incompatible view (non-contiguous rows, e.g. a transpose
+/// view) falls back to a materialised contiguous copy parked in `holder`.
+fn as_operand<'t>(t: &'t Tensor, holder: &'t mut Option<Tensor>) -> Operand<'t> {
     match t.batch_layout() {
-        Some(l) => (t.storage(), l),
+        Some(l) => Operand::new(t.storage(), l),
         None => {
             let c = holder.insert(t.contiguous());
             let l = c.batch_layout().expect("contiguous 3-D tensor has a dense layout");
-            (c.storage(), l)
+            Operand::new(c.storage(), l)
         }
     }
 }
@@ -242,24 +238,33 @@ impl<'g> Var<'g> {
                 let (k2, n) = (b.shape()[0], b.shape()[1]);
                 assert_eq!(k, k2, "matmul inner dims differ: {:?} vs {:?}", a.shape(), b.shape());
                 let mut out = self.graph.alloc_zeroed(&[m, n]);
-                matmul_into(a.data(), b.data(), out.data_mut(), m, k, n);
+                let (lhs, rhs) =
+                    (Operand::dense(a.data(), 1, m, k), Operand::dense(b.data(), 1, k, n));
+                gemm(lhs, rhs, out.data_mut(), &BatchLayout::dense(1, m, n), m, k, n);
                 out
             })
         });
         self.graph.push_op(&[self, other], v, |ctx| {
-            // dA += g @ Bᵀ ; dB += Aᵀ @ g — transposed-accumulate kernels,
-            // bitwise equal to materialising the transposes.
+            // dA += g @ Bᵀ ; dB += Aᵀ @ g — bitwise equal to materialising
+            // the transposes.
             let g = ctx.grad_out();
             let (m, n) = (g.shape()[0], g.shape()[1]);
+            let go = Operand::dense(g.data(), 1, m, n);
             if ctx.parent_needs_grad(0) {
                 let b = ctx.value(1);
                 let k = b.shape()[0];
-                ctx.accumulate_with(0, |out| matmul_nt_into(g.data(), b.data(), out, m, n, k));
+                let bt = Operand::dense(b.data(), 1, k, n).t();
+                ctx.accumulate_with(0, |out| {
+                    gemm(go, bt, out, &BatchLayout::dense(1, m, k), m, n, k)
+                });
             }
             if ctx.parent_needs_grad(1) {
                 let a = ctx.value(0);
                 let k = a.shape()[1];
-                ctx.accumulate_with(1, |out| matmul_tn_into(a.data(), g.data(), out, m, k, n));
+                let at = Operand::dense(a.data(), 1, m, k).t();
+                ctx.accumulate_with(1, |out| {
+                    gemm(at, go, out, &BatchLayout::dense(1, k, n), k, m, n)
+                });
             }
         })
     }
@@ -275,22 +280,29 @@ impl<'g> Var<'g> {
                 assert_eq!(bt, b2, "bmm batch dims differ");
                 assert_eq!(k, k2, "bmm inner dims differ: {:?} vs {:?}", a.shape(), b.shape());
                 let mut out = self.graph.alloc_zeroed(&[bt, m, n]);
-                bmm_into(a.data(), b.data(), out.data_mut(), bt, m, k, n);
+                let (lhs, rhs) =
+                    (Operand::dense(a.data(), bt, m, k), Operand::dense(b.data(), bt, k, n));
+                gemm(lhs, rhs, out.data_mut(), &BatchLayout::dense(bt, m, n), m, k, n);
                 out
             })
         });
         self.graph.push_op(&[self, other], v, |ctx| {
             let g = ctx.grad_out();
             let (bt, m, n) = (g.shape()[0], g.shape()[1], g.shape()[2]);
+            let go = Operand::dense(g.data(), bt, m, n);
             if ctx.parent_needs_grad(0) {
                 let b = ctx.value(1);
                 let k = b.shape()[1];
-                ctx.accumulate_with(0, |out| bmm_nt_into(g.data(), b.data(), out, bt, m, n, k));
+                let btr = Operand::dense(b.data(), bt, k, n).t();
+                let lo = BatchLayout::dense(bt, m, k);
+                ctx.accumulate_with(0, |out| gemm(go, btr, out, &lo, m, n, k));
             }
             if ctx.parent_needs_grad(1) {
                 let a = ctx.value(0);
                 let k = a.shape()[2];
-                ctx.accumulate_with(1, |out| bmm_tn_into(a.data(), g.data(), out, bt, m, k, n));
+                let atr = Operand::dense(a.data(), bt, m, k).t();
+                let lo = BatchLayout::dense(bt, k, n);
+                ctx.accumulate_with(1, |out| gemm(atr, go, out, &lo, k, m, n));
             }
         })
     }
@@ -300,14 +312,14 @@ impl<'g> Var<'g> {
     /// tape node instead of `other.transpose_last2()` + `bmm`, with
     /// identical values and gradients (the forward stages the transpose
     /// in kernel scratch; the backward needs no transposes at all —
-    /// `dA += G @ B` is a plain bmm, and `dB` scatters the same products
-    /// the transpose-node chain accumulated, in the same order).
+    /// `dA += G @ B` is a plain product and `dB += Gᵀ @ A` reads `G`
+    /// transposed in place).
     ///
     /// Both operands may be zero-copy strided views (head-split layouts):
-    /// the kernels then walk the view's [`BatchLayout`] directly instead
-    /// of materialising, and gradients of view operands scatter straight
-    /// into the root tensor's gradient buffer through the same layout —
-    /// bitwise identical to the historical split-copy path because the
+    /// [`gemm`] then walks the view's [`BatchLayout`] directly instead of
+    /// materialising, and gradients of view operands land straight in the
+    /// root tensor's gradient buffer through the same layout — bitwise
+    /// identical to the historical split-copy path because the
     /// per-element accumulation order never changes.
     pub fn bmm_nt(self, other: Var<'g>) -> Var<'g> {
         let v = self.graph.with_value(self, |a| {
@@ -319,73 +331,37 @@ impl<'g> Var<'g> {
                 assert_eq!(bt, b2, "bmm_nt batch dims differ");
                 assert_eq!(d, d2, "bmm_nt inner dims differ: {:?} vs {:?}", a.shape(), b.shape());
                 let mut out = self.graph.alloc_zeroed(&[bt, m, n]);
-                if a.is_view() || b.is_view() {
-                    let (mut ha, mut hb) = (None, None);
-                    let (asl, la) = as_batched(a, &mut ha);
-                    let (bsl, lb) = as_batched(b, &mut hb);
-                    let lo = BatchLayout::dense(bt, m, n);
-                    bmm_nt_layout_into(asl, &la, bsl, &lb, out.data_mut(), &lo, m, d, n);
-                } else {
-                    bmm_nt_into(a.data(), b.data(), out.data_mut(), bt, m, d, n);
-                }
+                let (mut ha, mut hb) = (None, None);
+                let (lhs, rhs) = (as_operand(a, &mut ha), as_operand(b, &mut hb).t());
+                gemm(lhs, rhs, out.data_mut(), &BatchLayout::dense(bt, m, n), m, d, n);
                 out
             })
         });
         self.graph.push_op(&[self, other], v, |ctx| {
             let g = ctx.grad_out();
             let (bt, m, n) = (g.shape()[0], g.shape()[1], g.shape()[2]);
-            let view_operands = ctx.value(0).is_view() || ctx.value(1).is_view();
+            let go = Operand::dense(g.data(), bt, m, n);
             if ctx.parent_needs_grad(0) {
                 // dA += G @ B : [b,m,n] @ [b,n,d] — contraction ascending
                 // over n with the skip-zero rule on G, exactly what the
-                // transpose-node chain's NT kernel produced.
+                // transpose-node chain produced.
                 let b = ctx.value(1);
                 let d = b.shape()[2];
-                if view_operands {
-                    let lg = BatchLayout::dense(bt, m, n);
-                    let mut hb = None;
-                    let (bsl, lb) = as_batched(b, &mut hb);
-                    let la = batched_grad_layout(ctx.value(0), bt, m, d);
-                    ctx.accumulate_with(0, |out| {
-                        bmm_layout_into(g.data(), &lg, bsl, &lb, out, &la, m, n, d)
-                    });
-                } else {
-                    ctx.accumulate_with(0, |out| bmm_into(g.data(), b.data(), out, bt, m, n, d));
-                }
+                let mut hb = None;
+                let rhs = as_operand(b, &mut hb);
+                let lo = batched_grad_layout(ctx.value(0), bt, m, d);
+                ctx.accumulate_with(0, |out| gemm(go, rhs, out, &lo, m, n, d));
             }
             if ctx.parent_needs_grad(1) {
-                // dB[j,p] += Σ_i a[i,p]·g[i,j] per slice (ascending i,
-                // skip-zero on a) — the old dBᵀ accumulation followed by
-                // its transpose-node pass-through, fused.
+                // dB += Gᵀ @ A : [b,n,m] @ [b,m,d] — ascending over m, the
+                // transpose-node chain's dBᵀ with its skip-zero rule moved
+                // from A to G (bitwise equal for finite inputs, see `gemm`).
                 let a = ctx.value(0);
                 let d = a.shape()[2];
-                if view_operands {
-                    let lg = BatchLayout::dense(bt, m, n);
-                    let mut ha = None;
-                    let (asl, la) = as_batched(a, &mut ha);
-                    let lb = batched_grad_layout(ctx.value(1), bt, n, d);
-                    ctx.accumulate_with(1, |out| {
-                        bmm_nt_db_layout_into(asl, &la, g.data(), &lg, out, &lb, m, d, n)
-                    });
-                } else {
-                    ctx.accumulate_with(1, |out| {
-                        for s in 0..bt {
-                            let a_s = &a.data()[s * m * d..(s + 1) * m * d];
-                            let g_s = &g.data()[s * m * n..(s + 1) * m * n];
-                            let o_s = &mut out[s * n * d..(s + 1) * n * d];
-                            for i in 0..m {
-                                for (p, &a_ip) in a_s[i * d..(i + 1) * d].iter().enumerate() {
-                                    if a_ip == 0.0 {
-                                        continue;
-                                    }
-                                    for (j, &g_ij) in g_s[i * n..(i + 1) * n].iter().enumerate() {
-                                        o_s[j * d + p] += a_ip * g_ij;
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
+                let mut ha = None;
+                let rhs = as_operand(a, &mut ha);
+                let lo = batched_grad_layout(ctx.value(1), bt, n, d);
+                ctx.accumulate_with(1, |out| gemm(go.t(), rhs, out, &lo, n, m, d));
             }
         })
     }
@@ -396,7 +372,7 @@ impl<'g> Var<'g> {
     /// with `v` allowed to be a zero-copy head-split view.  Values and
     /// gradients are bitwise identical to the historical chain: the
     /// merged write only relocates rows, and the backward runs the same
-    /// NT/TN accumulations the `bmm` backward used, reading the merged
+    /// transposed products the `bmm` backward runs, reading the merged
     /// upstream gradient through the split layout instead of scattering
     /// it into a copy first.
     pub fn attn_bmm_merge(self, v: Var<'g>, heads: usize) -> Var<'g> {
@@ -411,11 +387,10 @@ impl<'g> Var<'g> {
                 assert_eq!(bh % heads, 0, "batch {bh} not divisible into {heads} heads");
                 let b = bh / heads;
                 let mut out = self.graph.alloc_zeroed(&[b, m, heads * dk]);
-                let la = BatchLayout::dense(bh, m, k);
                 let mut hv = None;
-                let (vs, lv) = as_batched(vv, &mut hv);
+                let (lhs, rhs) = (Operand::dense(a.data(), bh, m, k), as_operand(vv, &mut hv));
                 let lo = merged_heads_layout(b, heads, m, dk);
-                bmm_layout_into(a.data(), &la, vs, &lv, out.data_mut(), &lo, m, k, dk);
+                gemm(lhs, rhs, out.data_mut(), &lo, m, k, dk);
                 out
             })
         });
@@ -425,25 +400,20 @@ impl<'g> Var<'g> {
             let (bh, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
             let (b, dk) = (g.shape()[0], g.shape()[2] / heads);
             // Read the merged upstream gradient through the split layout.
-            let lg = merged_heads_layout(b, heads, m, dk);
+            let gs = Operand::new(g.data(), merged_heads_layout(b, heads, m, dk));
             if ctx.parent_needs_grad(0) {
                 // dAttn += G_split @ Vᵀ
-                let vv = ctx.value(1);
                 let mut hv = None;
-                let (vs, lv) = as_batched(vv, &mut hv);
+                let vt = as_operand(ctx.value(1), &mut hv).t();
                 let lo = BatchLayout::dense(bh, m, k);
-                ctx.accumulate_with(0, |out| {
-                    bmm_nt_layout_into(g.data(), &lg, vs, &lv, out, &lo, m, dk, k)
-                });
+                ctx.accumulate_with(0, |out| gemm(gs, vt, out, &lo, m, dk, k));
             }
             if ctx.parent_needs_grad(1) {
-                // dV += Attnᵀ @ G_split, scattered through v's own layout
+                // dV += Attnᵀ @ G_split, written through v's own layout
                 // into the root gradient when v is a view.
-                let la = BatchLayout::dense(bh, m, k);
+                let at = Operand::dense(a.data(), bh, m, k).t();
                 let lo = batched_grad_layout(ctx.value(1), bh, k, dk);
-                ctx.accumulate_with(1, |out| {
-                    bmm_tn_layout_into(a.data(), &la, g.data(), &lg, out, &lo, m, k, dk)
-                });
+                ctx.accumulate_with(1, |out| gemm(at, gs, out, &lo, k, m, dk));
             }
         })
     }
@@ -475,7 +445,9 @@ impl<'g> Var<'g> {
         let v = self.graph.with_value(self, |x| {
             w.graph.with_value(w, |wt| {
                 let mut out = self.graph.alloc_zeroed(&out_shape);
-                matmul_into(x.data(), wt.data(), out.data_mut(), rows, k, n);
+                let (lhs, rhs) =
+                    (Operand::dense(x.data(), 1, rows, k), Operand::dense(wt.data(), 1, k, n));
+                gemm(lhs, rhs, out.data_mut(), &BatchLayout::dense(1, rows, n), rows, k, n);
                 if let Some(b) = bias {
                     b.graph.with_value(b, |bt| {
                         assert_eq!(bt.shape(), &[n], "affine bias must be [{n}]");
@@ -495,13 +467,16 @@ impl<'g> Var<'g> {
         };
         self.graph.push_op(&parents, v, move |ctx| {
             let g = ctx.grad_out();
+            let go = Operand::dense(g.data(), 1, rows, n);
             if ctx.parent_needs_grad(0) {
-                let w = ctx.value(1);
-                ctx.accumulate_with(0, |out| matmul_nt_into(g.data(), w.data(), out, rows, n, k));
+                let wt = Operand::dense(ctx.value(1).data(), 1, k, n).t();
+                let lo = BatchLayout::dense(1, rows, k);
+                ctx.accumulate_with(0, |out| gemm(go, wt, out, &lo, rows, n, k));
             }
             if ctx.parent_needs_grad(1) {
-                let x = ctx.value(0);
-                ctx.accumulate_with(1, |out| matmul_tn_into(x.data(), g.data(), out, rows, k, n));
+                let xt = Operand::dense(ctx.value(0).data(), 1, rows, k).t();
+                let lo = BatchLayout::dense(1, k, n);
+                ctx.accumulate_with(1, |out| gemm(xt, go, out, &lo, k, rows, n));
             }
             if ctx.num_parents() == 3 && ctx.parent_needs_grad(2) {
                 let db = ctx.grad_mut(2);

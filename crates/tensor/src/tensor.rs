@@ -563,14 +563,7 @@ impl Tensor {
         }
         let (s, rows, rowlen) = (self.shape[0], self.shape[1], self.shape[2]);
         match &self.view {
-            None => Some(BatchLayout {
-                offset: 0,
-                outer: s,
-                inner: 1,
-                outer_stride: rows * rowlen,
-                inner_stride: 0,
-                row_stride: rowlen,
-            }),
+            None => Some(BatchLayout::dense(s, rows, rowlen)),
             Some(m) => {
                 let d = m.iter_dims();
                 match d {
@@ -713,10 +706,12 @@ impl Tensor {
 
     /// Batched 3-D matmul: `[b,m,k] @ [b,k,n] -> [b,m,n]`.
     ///
-    /// Independent batch slices fan out over threads when the total work is
-    /// large enough to amortise the spawn cost (batched inference across
-    /// many users); each slice runs the same serial kernel, so results are
-    /// identical to the sequential loop.
+    /// One [`gemm`] call over dense operands: independent batch slices fan
+    /// out over threads when the total work is large enough to amortise
+    /// the spawn cost (batched inference across many users), and a single
+    /// slice runs the row-parallel [`matmul_into`].  Every slice keeps the
+    /// serial kernels' accumulation order, so results are identical to the
+    /// sequential per-slice loop.
     pub fn bmm(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 3, "bmm lhs must be 3-D, got {:?}", self.shape);
         assert_eq!(other.ndim(), 3, "bmm rhs must be 3-D, got {:?}", other.shape);
@@ -725,7 +720,9 @@ impl Tensor {
         assert_eq!(b, b2, "bmm batch dims differ");
         assert_eq!(k, k2, "bmm inner dims differ: {:?} vs {:?}", self.shape, other.shape);
         let mut out = vec![0.0f32; b * m * n];
-        bmm_into(self.data(), other.data(), &mut out, b, m, k, n);
+        let (lhs, rhs) =
+            (Operand::dense(self.data(), b, m, k), Operand::dense(other.data(), b, k, n));
+        gemm(lhs, rhs, &mut out, &BatchLayout::dense(b, m, n), m, k, n);
         dense(vec![b, m, n], out)
     }
 
@@ -893,7 +890,7 @@ pub(crate) fn softmax_in_place(row: &mut [f32]) {
     }
 }
 
-/// Tile height over the inner (`k`) axis: one tile of `b` (`K_BLOCK × n`
+/// Tile height over the contraction axis: one tile of `b` (`K_BLOCK × n`
 /// floats) stays cache-resident while it is streamed against every row of
 /// `a`.
 const K_BLOCK: usize = 64;
@@ -922,32 +919,38 @@ const PACK_MIN_KN: usize = 1 << 17;
 /// below this the spawn/join overhead outweighs the parallel speed-up.
 const PAR_MIN_WORK: usize = 1 << 19;
 
-/// Kernel worker-thread override: 0 = automatic (work- and core-based).
-/// Settable via [`set_kernel_threads`] or the `IRS_KERNEL_THREADS`
-/// environment variable; every kernel is bitwise-deterministic at any
-/// thread count, so the override only affects scheduling — determinism
-/// tests use it to exercise the parallel code paths on any host.
-static KERNEL_THREADS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-static KERNEL_THREADS_INIT: std::sync::Once = std::sync::Once::new();
+/// Largest transposed-`a` slice (elements) [`gemm`] reads in place: while
+/// it stays L1-resident its strided column reads are free, and skipping
+/// the transpose pass wins — the regime of the GRU cell's per-timestep
+/// `[B, D]ᵀ @ [B, H]` gradients and of every attention head.  Above this
+/// the strided reads start missing and the slice is staged instead.
+const TN_DIRECT_MAX_A: usize = 64 * 1024;
 
-/// Force every tensor kernel to fan out over exactly `n` worker threads
-/// (`None` restores automatic selection).  Results are bitwise identical
-/// either way; this is a scheduling knob, not a numerics knob.
+/// Kernel worker-thread override: `usize::MAX` follows the
+/// `IRS_KERNEL_THREADS` default, 0 is automatic (work- and core-based).
+/// Every kernel is bitwise-deterministic at any thread count, so the
+/// override only affects scheduling — determinism tests use it to
+/// exercise the parallel code paths on any host.
+static KERNEL_THREADS: std::sync::atomic::AtomicUsize =
+    std::sync::atomic::AtomicUsize::new(usize::MAX);
+
+/// Force every tensor kernel to fan out over exactly `n` worker threads.
+/// `None` restores the default: the `IRS_KERNEL_THREADS` environment
+/// variable when it is set, automatic selection otherwise.  Results are
+/// bitwise identical either way; this is a scheduling knob, not a
+/// numerics knob.
 pub fn set_kernel_threads(n: Option<usize>) {
-    // Mark the env default as consumed so an explicit call always wins.
-    KERNEL_THREADS_INIT.call_once(|| {});
-    KERNEL_THREADS.store(n.unwrap_or(0), std::sync::atomic::Ordering::Relaxed);
+    KERNEL_THREADS.store(n.unwrap_or(usize::MAX), std::sync::atomic::Ordering::Relaxed);
 }
 
 fn kernel_threads_override() -> usize {
-    KERNEL_THREADS_INIT.call_once(|| {
-        if let Some(n) =
-            std::env::var("IRS_KERNEL_THREADS").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            KERNEL_THREADS.store(n, std::sync::atomic::Ordering::Relaxed);
-        }
-    });
-    KERNEL_THREADS.load(std::sync::atomic::Ordering::Relaxed)
+    static ENV_DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    match KERNEL_THREADS.load(std::sync::atomic::Ordering::Relaxed) {
+        usize::MAX => *ENV_DEFAULT.get_or_init(|| {
+            std::env::var("IRS_KERNEL_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
+        }),
+        n => n,
+    }
 }
 
 /// Worker-thread count for a kernel of `work` multiply-accumulates: 1 when
@@ -965,8 +968,8 @@ fn parallelism_for(work: usize) -> usize {
     cores.min(work / PAR_MIN_WORK).min(16)
 }
 
-/// `out += a @ b` where `a` is `m×k`, `b` is `k×n`, `out` is `m×n` (zeroed
-/// by the caller).
+/// `out += a @ b` where `a` is `m×k`, `b` is `k×n`, `out` is `m×n` — the
+/// dense 2-D product, and what [`gemm`] runs for a single dense slice.
 ///
 /// Dispatch layer over two serial kernels, both thread-parallel over row
 /// blocks for large shapes (`std::thread::scope`, no dependencies):
@@ -1007,48 +1010,51 @@ fn should_pack(m: usize, k: usize, n: usize) -> bool {
 /// Plain blocked `out += a @ b`: `K_BLOCK`-tiled serial kernel, rows fanned
 /// out over threads for large shapes.
 pub fn matmul_into_plain(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let threads = parallelism_for(m * k * n).min(m);
-    if threads > 1 {
-        let rows_per = m.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, out_chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                let row0 = chunk_idx * rows_per;
-                let rows = out_chunk.len() / n;
-                let a_chunk = &a[row0 * k..(row0 + rows) * k];
-                scope.spawn(move || matmul_block(a_chunk, b, out_chunk, rows, k, n));
-            }
-        });
-    } else {
-        matmul_block(a, b, out, m, k, n);
-    }
+    fan_rows(a, out, m, k, n, |a, out, rows| {
+        matmul_block_l(a, 0, k, b, 0, n, out, 0, n, rows, k, n)
+    });
 }
 
 /// Packed-B `out += a @ b`: B is repacked once into block-major panels,
 /// then every row block streams the packed buffer with the register-tiled
 /// kernel.  Threads share the one packed copy.
 pub fn matmul_into_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
     let packed = pack_b(b, k, n);
-    let threads = parallelism_for(m * k * n).min(m);
-    if threads > 1 {
-        let rows_per = m.div_ceil(threads);
-        let packed = &packed;
-        std::thread::scope(|scope| {
-            for (chunk_idx, out_chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                let row0 = chunk_idx * rows_per;
-                let rows = out_chunk.len() / n;
-                let a_chunk = &a[row0 * k..(row0 + rows) * k];
-                scope.spawn(move || matmul_block_packed(a_chunk, packed, out_chunk, rows, k, n));
-            }
-        });
-    } else {
-        matmul_block_packed(a, &packed, out, m, k, n);
+    fan_rows(a, out, m, k, n, |a, out, rows| matmul_block_packed(a, &packed, out, rows, k, n));
+}
+
+/// Run `kernel(a_rows, out_rows, rows)` over the rows of an `m×k`·`k×n`
+/// product, fanned out over row blocks when the work warrants threads.
+/// Returns at once when `m`, `k` or `n` is 0.
+fn fan_rows(
+    a: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    kernel: impl Fn(&[f32], &mut [f32], usize) + Sync,
+) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(out.len(), m * n);
+    if m == 0 || k == 0 || n == 0 {
+        return;
     }
+    let threads = parallelism_for(m * k * n).min(m);
+    if threads <= 1 {
+        return kernel(a, out, m);
+    }
+    let rows_per = m.div_ceil(threads);
+    let kernel = &kernel;
+    std::thread::scope(|scope| {
+        for (chunk_idx, out_chunk) in out.chunks_mut(rows_per * n).enumerate() {
+            let row0 = chunk_idx * rows_per;
+            let rows = out_chunk.len() / n;
+            let a_chunk = &a[row0 * k..(row0 + rows) * k];
+            scope.spawn(move || kernel(a_chunk, out_chunk, rows));
+        }
+    });
 }
 
 /// Repack `b` (`k×n`, row-major) into `NR`-wide block-major panels: panel
@@ -1074,7 +1080,7 @@ fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// Register-tiled serial kernel over packed panels: for each `MR × NR`
 /// output tile the accumulators stay in registers across the whole `k`
 /// loop.  Per output element the `k` products are added in increasing
-/// order with the same skip-zero-`a` rule as [`matmul_block`], so results
+/// order with the same skip-zero-`a` rule as [`matmul_block_l`], so results
 /// are bitwise identical to the plain kernel.
 ///
 /// Full tiles and ragged remainder rows run through separate helpers with
@@ -1128,7 +1134,7 @@ struct TileGeom {
 /// [`matmul_block_packed`]) so the `MR` multipliers of step `p` sit in one
 /// cache line.  The common all-multipliers-nonzero case runs one branch
 /// per `p` followed by straight-line `MR × NR` updates; the rare path
-/// applies the per-element skip-zero rule exactly like [`matmul_block`].
+/// applies the per-element skip-zero rule exactly like [`matmul_block_l`].
 #[inline]
 fn packed_tile_full(at: &[f32], bp: &[f32], out: &mut [f32], g: TileGeom) {
     let TileGeom { i, k, n, j0, w } = g;
@@ -1180,274 +1186,9 @@ fn packed_tile_row(a: &[f32], bp: &[f32], out: &mut [f32], g: TileGeom) {
     out[i * n + j0..i * n + j0 + w].copy_from_slice(&acc[..w]);
 }
 
-/// Serial per-slice dispatch used by [`Tensor::bmm`]: each batch slice has
-/// its own `b`, so the packed kernel repacks per slice — worth it only
-/// when that slice's `m` rows amortise the pass.
-fn matmul_slice(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if should_pack(m, k, n) {
-        let packed = pack_b(b, k, n);
-        matmul_block_packed(a, &packed, out, m, k, n);
-    } else {
-        matmul_block(a, b, out, m, k, n);
-    }
-}
-
-/// Serial blocked kernel: `out += a @ b` with `K_BLOCK`-tall tiles of `b`
-/// reused across all rows of `a`.  Per output element the `k` loop still
-/// runs in increasing order (tiles are visited in order, rows within a tile
-/// in order), preserving bitwise results.
-fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut kb = 0;
-    while kb < k {
-        let kend = (kb + K_BLOCK).min(k);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for p in kb..kend {
-                let a_ip = a_row[p];
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ip * b_pj;
-                }
-            }
-        }
-        kb = kend;
-    }
-}
-
-/// Batched `out += a @ b` over `bt` independent `[m,k] @ [k,n]` slices —
-/// the kernel behind [`Tensor::bmm`], exposed so graph ops can run it
-/// into pooled buffers.  Slices fan out over threads when the total work
-/// amortises the spawn cost; each slice runs the same serial dispatch, so
-/// results are identical to the sequential loop.
-pub fn bmm_into(a: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), bt * m * k);
-    debug_assert_eq!(b.len(), bt * k * n);
-    debug_assert_eq!(out.len(), bt * m * n);
-    let threads = parallelism_for(bt * m * k * n).min(bt.max(1));
-    if threads > 1 {
-        let per = bt.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, out_chunk) in out.chunks_mut(per * m * n).enumerate() {
-                let b0 = chunk_idx * per;
-                scope.spawn(move || {
-                    for (j, o) in out_chunk.chunks_mut(m * n).enumerate() {
-                        let i = b0 + j;
-                        matmul_slice(
-                            &a[i * m * k..(i + 1) * m * k],
-                            &b[i * k * n..(i + 1) * k * n],
-                            o,
-                            m,
-                            k,
-                            n,
-                        );
-                    }
-                });
-            }
-        });
-    } else {
-        for i in 0..bt {
-            matmul_slice(
-                &a[i * m * k..(i + 1) * m * k],
-                &b[i * k * n..(i + 1) * k * n],
-                &mut out[i * m * n..(i + 1) * m * n],
-                m,
-                k,
-                n,
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Transposed-operand accumulate kernels (autograd backward paths)
+// Strided batched products: one `gemm` over layouts and transposes
 // ---------------------------------------------------------------------
-//
-// The backward of `C = A @ B` is a pair of matmuls against transposed
-// operands: `dA += G @ Bᵀ` and `dB += Aᵀ @ G`.  The historical path
-// materialised the transpose and called `matmul_into`; these kernels
-// read the untransposed operand directly (`B` rows are contiguous in the
-// NT case, `G` rows in the TN case), with **identical per-element
-// accumulation order** (the contraction index ascends) and the identical
-// skip-zero rule on the left-operand element — so gradients are bitwise
-// equal to the transpose-then-multiply path, which is itself bitwise
-// equal to the naive loop (see [`matmul_into`]).
-
-/// `out += g @ bᵀ`: `g` is `[m,n]`, `b` is `[k,n]`, `out` is `[m,k]` —
-/// the `dA` of a matmul.
-///
-/// `bᵀ` is materialised into a scratch buffer (an `O(nk)` copy next to
-/// the `O(mnk)` multiply) and the product runs through the blocked/packed
-/// [`matmul_into`] dispatch — keeping the SIMD-friendly contiguous-axpy
-/// inner loop; a transpose-free dot kernel measured ~20% slower per
-/// training step.  Products for each output element accumulate in
-/// ascending `n` with the skip-zero rule on `g[i,j]`, exactly like the
-/// historical transpose-then-multiply path.
-pub fn matmul_nt_into(g: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
-    debug_assert_eq!(g.len(), m * n);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * k);
-    with_transposed(b, k, n, |bt| matmul_into(g, bt, out, m, n, k));
-}
-
-thread_local! {
-    /// Reusable per-thread transpose scratch for the NT/TN backward
-    /// kernels: a training step runs hundreds of backward matmuls at
-    /// model-sized shapes, and a fresh alloc+memset per transpose
-    /// measurably drags the small-shape families (GRU cells).
-    static TRANSPOSE_SCRATCH: std::cell::RefCell<Vec<f32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Run `f` on the `[cols, rows]` transpose of `src` (`[rows, cols]`),
-/// staged in the thread-local scratch buffer.
-fn with_transposed<R>(src: &[f32], rows: usize, cols: usize, f: impl FnOnce(&[f32]) -> R) -> R {
-    TRANSPOSE_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let len = rows * cols;
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        for r in 0..rows {
-            for c in 0..cols {
-                buf[c * rows + r] = src[r * cols + c];
-            }
-        }
-        f(&buf[..len])
-    })
-}
-
-/// `out += aᵀ @ g`: `a` is `[m,k]`, `g` is `[m,n]`, `out` is `[k,n]` —
-/// the `dB` of a matmul.
-///
-/// Like [`matmul_nt_into`], `aᵀ` is materialised (an `O(mk)` copy next
-/// to the `O(mkn)` multiply) and the product runs through the
-/// blocked/packed [`matmul_into`] dispatch — a transpose-free variant
-/// reading `a` columns with stride `k` profiled at ~25% of the whole
-/// training step on cache misses alone.  Products for each output
-/// element accumulate in ascending `m` with the skip-zero rule on
-/// `a[i,p]`, exactly like the historical transpose-then-multiply path.
-pub fn matmul_tn_into(a: &[f32], g: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(g.len(), m * n);
-    debug_assert_eq!(out.len(), k * n);
-    if a.len() <= TN_DIRECT_MAX_A {
-        matmul_tn_direct(a, g, out, m, k, n);
-    } else {
-        with_transposed(a, m, k, |at| matmul_into(at, g, out, k, m, n));
-    }
-}
-
-/// Largest `a` operand (elements) the direct TN kernel handles: while
-/// `a` stays L1-resident its strided column reads are free, and skipping
-/// the transpose pass wins — the regime of the GRU cell's per-timestep
-/// `[B, D]ᵀ @ [B, H]` gradients.  Above this the strided reads start
-/// missing and the transpose-then-dispatch path takes over.
-const TN_DIRECT_MAX_A: usize = 64 * 1024;
-
-/// Transpose-free TN kernel: `out[p, :] += a[i, p] · g[i, :]` with `i`
-/// ascending per output element (K_BLOCK-tiled) and the skip-zero rule
-/// on `a[i, p]` — bitwise identical to the transposed dispatch.
-fn matmul_tn_direct(a: &[f32], g: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut ib = 0;
-    while ib < m {
-        let iend = (ib + K_BLOCK).min(m);
-        for (p, out_row) in out.chunks_mut(n).enumerate() {
-            for i in ib..iend {
-                let a_ip = a[i * k + p];
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let g_row = &g[i * n..(i + 1) * n];
-                for (o, &gj) in out_row.iter_mut().zip(g_row) {
-                    *o += a_ip * gj;
-                }
-            }
-        }
-        ib = iend;
-    }
-}
-
-/// Batched [`matmul_nt_into`]: `out[s] += g[s] @ b[s]ᵀ` per slice — the
-/// `dA` of a bmm.  The batched transpose is materialised once and the
-/// product runs through [`bmm_into`]'s slice dispatch, matching the
-/// historical `transpose_last2` + `bmm` path kernel for kernel.
-pub fn bmm_nt_into(g: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, n: usize, k: usize) {
-    debug_assert_eq!(g.len(), bt * m * n);
-    debug_assert_eq!(b.len(), bt * k * n);
-    debug_assert_eq!(out.len(), bt * m * k);
-    with_transposed_batch(b, bt, k, n, |btr| bmm_into(g, btr, out, bt, m, n, k));
-}
-
-/// Run `f` on the per-slice `[bt, cols, rows]` transpose of `src`
-/// (`[bt, rows, cols]`), staged in the thread-local scratch buffer.
-fn with_transposed_batch<R>(
-    src: &[f32],
-    bt: usize,
-    rows: usize,
-    cols: usize,
-    f: impl FnOnce(&[f32]) -> R,
-) -> R {
-    TRANSPOSE_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let len = bt * rows * cols;
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        for (s, slice) in buf[..len].chunks_mut(rows * cols).enumerate() {
-            let sl = &src[s * rows * cols..(s + 1) * rows * cols];
-            for r in 0..rows {
-                for c in 0..cols {
-                    slice[c * rows + r] = sl[r * cols + c];
-                }
-            }
-        }
-        f(&buf[..len])
-    })
-}
-
-/// Batched [`matmul_tn_into`]: `out[s] += a[s]ᵀ @ g[s]` per slice — the
-/// `dB` of a bmm.  The batched transpose is materialised once and the
-/// product runs through [`bmm_into`]'s slice dispatch, matching the
-/// historical `transpose_last2` + `bmm` path kernel for kernel.
-pub fn bmm_tn_into(a: &[f32], g: &[f32], out: &mut [f32], bt: usize, m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), bt * m * k);
-    debug_assert_eq!(g.len(), bt * m * n);
-    debug_assert_eq!(out.len(), bt * k * n);
-    if m * k <= TN_DIRECT_MAX_A {
-        // Small per-slice operands (attention-head shapes): the direct
-        // kernel per slice beats a batched transpose pass.
-        for (s, o) in out.chunks_mut(k * n).enumerate() {
-            matmul_tn_direct(
-                &a[s * m * k..(s + 1) * m * k],
-                &g[s * m * n..(s + 1) * m * n],
-                o,
-                m,
-                k,
-                n,
-            );
-        }
-    } else {
-        with_transposed_batch(a, bt, m, k, |atr| bmm_into(atr, g, out, bt, k, m, n));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Stride-walking batched kernels (zero-copy view consumers)
-// ---------------------------------------------------------------------
-//
-// The attention path views its `[B, T, D]` projections as `[B*H, T, D/H]`
-// without copying ([`Tensor::split_heads_view`]).  These kernels consume
-// that layout — and the dense layout, and the merged-output layout —
-// through a [`BatchLayout`] descriptor whose rows are contiguous runs.
-// Each kernel mirrors its dense counterpart loop for loop (`K_BLOCK`
-// tiling, ascending contraction index, skip-zero on the left operand
-// element), so results are **bitwise identical** to materialising the
-// view and calling the dense kernel.  Layouts only relocate rows; they
-// never reorder the per-element accumulation.
 
 /// Address map of a batched `[S, rows, rowlen]` operand whose rows are
 /// contiguous `rowlen`-float runs: row `i` of slice `s` starts at
@@ -1497,19 +1238,170 @@ impl BatchLayout {
     fn slice_base(&self, s: usize) -> usize {
         self.offset + (s / self.inner) * self.outer_stride + (s % self.inner) * self.inner_stride
     }
+}
 
-    /// True when outer groups tile `len` storage exactly from offset 0 —
-    /// the precondition for fanning worker threads over disjoint
-    /// `chunks_mut(outer_stride)` groups.
-    fn tiles_exactly(&self, len: usize) -> bool {
-        self.offset == 0 && self.outer * self.outer_stride == len
+/// One operand of [`gemm`]: `data` holds a batched matrix whose stored
+/// rows `layout` locates, and the product reads each slice transposed
+/// when `transposed` is set.  A transposed `[rows, cols]` operand is
+/// stored as `[cols, rows]` slices.
+#[derive(Clone, Copy, Debug)]
+pub struct Operand<'a> {
+    /// Storage holding every slice.
+    pub data: &'a [f32],
+    /// Where the stored rows of each slice live.
+    pub layout: BatchLayout,
+    /// Read each slice as the transpose of its stored matrix.
+    pub transposed: bool,
+}
+
+impl<'a> Operand<'a> {
+    /// The operand stored in `data` at `layout`, read as stored.
+    pub fn new(data: &'a [f32], layout: BatchLayout) -> Operand<'a> {
+        Operand { data, layout, transposed: false }
+    }
+
+    /// A dense `[s, rows, cols]` operand, read as stored.
+    pub fn dense(data: &'a [f32], s: usize, rows: usize, cols: usize) -> Operand<'a> {
+        Operand::new(data, BatchLayout::dense(s, rows, cols))
+    }
+
+    /// The same storage, read transposed.
+    pub fn t(self) -> Operand<'a> {
+        Operand { transposed: true, ..self }
     }
 }
 
-/// Fan `work(s_global, out_chunk, o_base)` over the outer groups of `lo`,
-/// in parallel when the total multiply-accumulate count warrants it and
-/// the output layout tiles the buffer exactly; serial otherwise.  Slices
-/// are independent, so the fan never changes results.
+/// `out[s] += op(a[s]) · op(b[s])` for every slice `s` of `lo`, where
+/// `op(a[s])` is `m×k`, `op(b[s])` is `k×n` and `out`'s slices are `m×n`
+/// rows located by `lo`.
+///
+/// The strategy is picked from shapes and layouts alone:
+///
+/// * a transposed `b` is staged dense per slice in a thread-local scratch
+///   buffer — reading it in place would stride the inner loop;
+/// * a transposed `a` is read in place while a slice has at most 64 Ki
+///   elements, and staged above that;
+/// * a single slice whose operands are (or were staged) dense goes to the
+///   row-parallel [`matmul_into`];
+/// * batches fan out over slices; a dense slice past the packing
+///   crossover runs the packed kernel, every other slice the plain loop.
+///
+/// Every output element accumulates its `k` products in ascending order,
+/// skipping terms whose left element `op(a)[i, p]` is zero, so results
+/// are bitwise identical at any layout, strategy and thread count.  The
+/// skip reads the left operand only: `bmm_nt`'s `dB` runs as `gᵀ·a` and
+/// skips on `g`, where the scatter it replaced skipped on `a`.  For
+/// finite inputs and a `+0.0` output that moves no bit — a skipped `±0`
+/// product leaves such a sum unchanged — but NaN/inf propagation can
+/// differ (`0·inf` is NaN only when it is not skipped).
+///
+/// `m`, `k` or `n` equal to 0 returns at once.  Panics when both operands
+/// are transposed (no caller needs it) or when the slice counts differ.
+pub fn gemm(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    out: &mut [f32],
+    lo: &BatchLayout,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(!(a.transposed && b.transposed), "gemm: both operands transposed");
+    let slices = lo.slices();
+    assert_eq!(a.layout.slices(), slices, "gemm: lhs batch differs from the output's");
+    assert_eq!(b.layout.slices(), slices, "gemm: rhs batch differs from the output's");
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let whole = slices == 1;
+    fan_slices(out, lo, m * k * n, |s, o, o0| {
+        gemm_slice(&a, &b, s, o, o0, lo.row_stride, whole, m, k, n);
+    });
+}
+
+/// Slice `s` of [`gemm`], written into `out` rows `o0 + i·ors`.  `whole`
+/// marks a single-slice call, whose dense product may fan its rows out
+/// over threads.
+#[allow(clippy::too_many_arguments)]
+fn gemm_slice(
+    a: &Operand,
+    b: &Operand,
+    s: usize,
+    out: &mut [f32],
+    o0: usize,
+    ors: usize,
+    whole: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    with_staged(b, s, k, n, |b, b0, brs| {
+        if a.transposed && m * k <= TN_DIRECT_MAX_A {
+            let (a0, ars) = (a.layout.slice_base(s), a.layout.row_stride);
+            matmul_tn_l(a.data, a0, ars, b, b0, brs, out, o0, ors, m, k, n);
+            return;
+        }
+        with_staged(a, s, m, k, |a, a0, ars| {
+            if ars != k || brs != n || ors != n {
+                matmul_block_l(a, a0, ars, b, b0, brs, out, o0, ors, m, k, n);
+                return;
+            }
+            let (a, b) = (&a[a0..a0 + m * k], &b[b0..b0 + k * n]);
+            let out = &mut out[o0..o0 + m * n];
+            if whole {
+                matmul_into(a, b, out, m, k, n);
+            } else if should_pack(m, k, n) {
+                matmul_block_packed(a, &pack_b(b, k, n), out, m, k, n);
+            } else {
+                matmul_block_l(a, 0, k, b, 0, n, out, 0, n, m, k, n);
+            }
+        })
+    });
+}
+
+thread_local! {
+    /// Reusable per-thread transpose scratch: a training step runs
+    /// hundreds of backward products against transposed operands at
+    /// model-sized shapes, and a fresh alloc+memset per transpose
+    /// measurably drags the small-shape families (GRU cells).
+    static TRANSPOSE_SCRATCH: std::cell::RefCell<Vec<f32>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Run `f(data, base, row_stride)` on slice `s` of `x` read as a `[rows,
+/// cols]` matrix: rows in place for an operand read as stored, a dense
+/// copy in the thread-local scratch for a transposed one.
+fn with_staged<R>(
+    x: &Operand,
+    s: usize,
+    rows: usize,
+    cols: usize,
+    f: impl FnOnce(&[f32], usize, usize) -> R,
+) -> R {
+    let (base, rs) = (x.layout.slice_base(s), x.layout.row_stride);
+    if !x.transposed {
+        return f(x.data, base, rs);
+    }
+    TRANSPOSE_SCRATCH.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        let len = rows * cols;
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        for c in 0..cols {
+            for (r, &v) in x.data[base + c * rs..base + c * rs + rows].iter().enumerate() {
+                buf[r * cols + c] = v;
+            }
+        }
+        f(&buf[..len], 0, cols)
+    })
+}
+
+/// Fan `run(s, out_chunk, o_base)` over the slices of `lo`, in parallel
+/// over outer groups when the total multiply-accumulate count warrants it
+/// and the groups tile `out` exactly from offset 0 (so worker threads own
+/// disjoint `chunks_mut(outer_stride)`); serial otherwise.  Slices are
+/// independent, so the fan never changes results.
 fn fan_slices(
     out: &mut [f32],
     lo: &BatchLayout,
@@ -1518,7 +1410,7 @@ fn fan_slices(
 ) {
     let slices = lo.slices();
     let threads = parallelism_for(work_per_slice * slices).min(lo.outer);
-    if threads > 1 && lo.tiles_exactly(out.len()) {
+    if threads > 1 && lo.offset == 0 && lo.outer * lo.outer_stride == out.len() {
         let groups_per = lo.outer.div_ceil(threads);
         let run = &run;
         std::thread::scope(|scope| {
@@ -1543,10 +1435,11 @@ fn fan_slices(
     }
 }
 
-/// One slice of a layout-addressed `out += a @ b`: rows of every operand
-/// are contiguous runs located by `(base, row_stride)`.  Loop structure is
-/// [`matmul_block`] verbatim — `K_BLOCK` tiles visited in order, `k`
-/// ascending per output element, skip-zero on `a[i,p]`.
+/// The plain serial loop: `out += a @ b` over rows located by
+/// `(base, row_stride)` per operand, with `K_BLOCK`-tall tiles of `b`
+/// reused across all rows of `a`.  Per output element the `k` loop runs
+/// in increasing order (tiles are visited in order, rows within a tile in
+/// order) with the skip-zero rule on `a[i, p]`.
 #[allow(clippy::too_many_arguments)]
 fn matmul_block_l(
     a: &[f32],
@@ -1583,175 +1476,45 @@ fn matmul_block_l(
     }
 }
 
-/// Layout-addressed batched `out += a @ b` over `[m,k] @ [k,n]` slices.
-/// The plain blocked kernel runs per slice (packed dispatch is bitwise
-/// identical by design, and view-fed shapes never reach the packed
-/// regime), so results match [`bmm_into`] exactly.
+/// The transposed-`a` serial loop: `out += aᵀ @ b` with `a` stored
+/// `[k, m]` and read in place, `out[i, :] += a[p, i] · b[p, :]`.  Same
+/// `K_BLOCK` tiling, ascending `p` per output element and skip-zero rule
+/// as [`matmul_block_l`] — bitwise identical to staging `aᵀ` first.  A
+/// runtime column stride folded into the plain loop instead slowed
+/// attention-sized products by 10–30%.
 #[allow(clippy::too_many_arguments)]
-pub fn bmm_layout_into(
+fn matmul_tn_l(
     a: &[f32],
-    la: &BatchLayout,
+    a0: usize,
+    ars: usize,
     b: &[f32],
-    lb: &BatchLayout,
+    b0: usize,
+    brs: usize,
     out: &mut [f32],
-    lo: &BatchLayout,
+    o0: usize,
+    ors: usize,
     m: usize,
     k: usize,
     n: usize,
 ) {
-    let bt = la.slices();
-    assert_eq!(lb.slices(), bt, "bmm_layout_into batch dims differ");
-    assert_eq!(lo.slices(), bt, "bmm_layout_into output batch differs");
-    fan_slices(out, lo, m * k * n, |s, o, o_base| {
-        matmul_block_l(
-            a,
-            la.slice_base(s),
-            la.row_stride,
-            b,
-            lb.slice_base(s),
-            lb.row_stride,
-            o,
-            o_base,
-            lo.row_stride,
-            m,
-            k,
-            n,
-        );
-    });
-}
-
-/// Layout-addressed batched `out += a @ bᵀ`: `a` slices are `[m, d]`, `b`
-/// slices `[n, d]`, `out` slices `[m, n]`.  Each slice's `bᵀ` is staged
-/// into the thread-local transpose scratch (reading rows through the
-/// layout) and the product runs through `matmul_block_l` — the same
-/// stage-then-multiply the dense [`bmm_nt_into`] performs, so per-element
-/// accumulation (ascending `d`, skip-zero on `a[i,p]`) is unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn bmm_nt_layout_into(
-    a: &[f32],
-    la: &BatchLayout,
-    b: &[f32],
-    lb: &BatchLayout,
-    out: &mut [f32],
-    lo: &BatchLayout,
-    m: usize,
-    d: usize,
-    n: usize,
-) {
-    let bt = la.slices();
-    assert_eq!(lb.slices(), bt, "bmm_nt_layout_into batch dims differ");
-    assert_eq!(lo.slices(), bt, "bmm_nt_layout_into output batch differs");
-    fan_slices(out, lo, m * d * n, |s, o, o_base| {
-        TRANSPOSE_SCRATCH.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            let len = d * n;
-            if buf.len() < len {
-                buf.resize(len, 0.0);
-            }
-            let b0 = lb.slice_base(s);
-            for j in 0..n {
-                let b_row = &b[b0 + j * lb.row_stride..b0 + j * lb.row_stride + d];
-                for (p, &v) in b_row.iter().enumerate() {
-                    buf[p * n + j] = v;
-                }
-            }
-            matmul_block_l(
-                a,
-                la.slice_base(s),
-                la.row_stride,
-                &buf[..len],
-                0,
-                n,
-                o,
-                o_base,
-                lo.row_stride,
-                m,
-                d,
-                n,
-            );
-        });
-    });
-}
-
-/// Layout-addressed batched `out += aᵀ @ g`: `a` slices `[m, k]`, `g`
-/// slices `[m, n]`, `out` slices `[k, n]` — the direct TN kernel
-/// (`matmul_tn_direct`: `K_BLOCK`-tiled ascending `i`, skip-zero on
-/// `a[i,p]`), which is bitwise identical to the transposed dispatch.
-#[allow(clippy::too_many_arguments)]
-pub fn bmm_tn_layout_into(
-    a: &[f32],
-    la: &BatchLayout,
-    g: &[f32],
-    lg: &BatchLayout,
-    out: &mut [f32],
-    lo: &BatchLayout,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let bt = la.slices();
-    assert_eq!(lg.slices(), bt, "bmm_tn_layout_into batch dims differ");
-    assert_eq!(lo.slices(), bt, "bmm_tn_layout_into output batch differs");
-    fan_slices(out, lo, m * k * n, |s, o, o_base| {
-        let a0 = la.slice_base(s);
-        let g0 = lg.slice_base(s);
-        let mut ib = 0;
-        while ib < m {
-            let iend = (ib + K_BLOCK).min(m);
-            for p in 0..k {
-                let out_row = &mut o[o_base + p * lo.row_stride..o_base + p * lo.row_stride + n];
-                for i in ib..iend {
-                    let a_ip = a[a0 + i * la.row_stride + p];
-                    if a_ip == 0.0 {
-                        continue;
-                    }
-                    let g_row = &g[g0 + i * lg.row_stride..g0 + i * lg.row_stride + n];
-                    for (o, &gj) in out_row.iter_mut().zip(g_row) {
-                        *o += a_ip * gj;
-                    }
-                }
-            }
-            ib = iend;
-        }
-    });
-}
-
-/// Layout-addressed `dB` of a batched `a @ bᵀ` product:
-/// `out[s][j, p] += a[s][i, p] · g[s][i, j]` with `i` ascending per output
-/// element and skip-zero on `a[i, p]` — the scatter the fused `bmm_nt`
-/// backward performs, relocated through layouts.  `a` slices are `[m, d]`,
-/// `g` slices `[m, n]`, `out` slices `[n, d]`.
-#[allow(clippy::too_many_arguments)]
-pub fn bmm_nt_db_layout_into(
-    a: &[f32],
-    la: &BatchLayout,
-    g: &[f32],
-    lg: &BatchLayout,
-    out: &mut [f32],
-    lo: &BatchLayout,
-    m: usize,
-    d: usize,
-    n: usize,
-) {
-    let bt = la.slices();
-    assert_eq!(lg.slices(), bt, "bmm_nt_db_layout_into batch dims differ");
-    assert_eq!(lo.slices(), bt, "bmm_nt_db_layout_into output batch differs");
-    fan_slices(out, lo, m * d * n, |s, o, o_base| {
-        let a0 = la.slice_base(s);
-        let g0 = lg.slice_base(s);
+    let mut kb = 0;
+    while kb < k {
+        let kend = (kb + K_BLOCK).min(k);
         for i in 0..m {
-            let a_row = &a[a0 + i * la.row_stride..a0 + i * la.row_stride + d];
-            let g_row = &g[g0 + i * lg.row_stride..g0 + i * lg.row_stride + n];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
+            let out_row = &mut out[o0 + i * ors..o0 + i * ors + n];
+            for p in kb..kend {
+                let a_pi = a[a0 + p * ars + i];
+                if a_pi == 0.0 {
                     continue;
                 }
-                for (j, &g_ij) in g_row.iter().enumerate() {
-                    o[o_base + j * lo.row_stride + p] += a_ip * g_ij;
+                let b_row = &b[b0 + p * brs..b0 + p * brs + n];
+                for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
+                    *o += a_pi * b_pj;
                 }
             }
         }
-    });
+        kb = kend;
+    }
 }
 
 /// Product of a shape's dimensions.
@@ -2008,12 +1771,17 @@ mod tests {
         assert!(plain.iter().all(|v| v.is_finite()));
     }
 
+    /// `out += op(a) · op(b)` for one dense 2-D slice.
+    fn gemm_2d(a: Operand, b: Operand, out: &mut [f32], m: usize, k: usize, n: usize) {
+        gemm(a, b, out, &BatchLayout::dense(1, m, n), m, k, n);
+    }
+
     #[test]
     fn nt_kernel_is_bitwise_equal_to_transpose_then_matmul() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        // Shapes straddling the 4-column tile and K_BLOCK, plus zeros in g
-        // to exercise the skip rule.
+        // Shapes straddling K_BLOCK, plus zeros in g to exercise the skip
+        // rule.
         for &(m, n, k) in &[(1, 1, 1), (3, 7, 5), (4, 65, 9), (8, 130, 3), (5, 16, 21)] {
             let mut g = Tensor::randn(&[m, n], 1.0, &mut rng);
             for (i, v) in g.data_mut().iter_mut().enumerate() {
@@ -2024,7 +1792,8 @@ mod tests {
             let b = Tensor::randn(&[k, n], 1.0, &mut rng);
             let reference = g.matmul(&b.transpose2d());
             let mut out = vec![0.0f32; m * k];
-            matmul_nt_into(g.data(), b.data(), &mut out, m, n, k);
+            let bt = Operand::dense(b.data(), 1, k, n).t();
+            gemm_2d(Operand::dense(g.data(), 1, m, n), bt, &mut out, m, n, k);
             assert_eq!(out, reference.data(), "nt {m}x{n}x{k}");
         }
     }
@@ -2043,7 +1812,8 @@ mod tests {
             let g = Tensor::randn(&[m, n], 1.0, &mut rng);
             let reference = a.transpose2d().matmul(&g);
             let mut out = vec![0.0f32; k * n];
-            matmul_tn_into(a.data(), g.data(), &mut out, m, k, n);
+            let at = Operand::dense(a.data(), 1, m, k).t();
+            gemm_2d(at, Operand::dense(g.data(), 1, m, n), &mut out, k, m, n);
             assert_eq!(out, reference.data(), "tn {m}x{k}x{n}");
         }
     }
@@ -2057,7 +1827,8 @@ mod tests {
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let seed: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.5 - 3.0).collect();
         let mut out = seed.clone();
-        matmul_nt_into(g.data(), b.data(), &mut out, m, n, k);
+        let bt = Operand::dense(b.data(), 1, k, n).t();
+        gemm_2d(Operand::dense(g.data(), 1, m, n), bt, &mut out, m, n, k);
         let mut expected = Tensor::from_vec(seed, &[m, k]);
         expected.add_assign(&g.matmul(&b.transpose2d()));
         // Accumulation starts from the existing out value per element, so
@@ -2070,6 +1841,7 @@ mod tests {
 
     #[test]
     fn batched_nt_tn_kernels_match_per_slice_2d_kernels() {
+        // The slice fan (S > 1) and the single-slice path agree bit for bit.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
         let (bt, m, k, n) = (3, 4, 5, 7);
@@ -2078,30 +1850,24 @@ mod tests {
         let b = Tensor::randn(&[bt, k, n], 1.0, &mut rng);
 
         let mut da = vec![0.0f32; bt * m * k];
-        bmm_nt_into(g.data(), b.data(), &mut da, bt, m, n, k);
+        let (gs, bts) =
+            (Operand::dense(g.data(), bt, m, n), Operand::dense(b.data(), bt, k, n).t());
+        gemm(gs, bts, &mut da, &BatchLayout::dense(bt, m, k), m, n, k);
         let mut db = vec![0.0f32; bt * k * n];
-        bmm_tn_into(a.data(), g.data(), &mut db, bt, m, k, n);
+        let ats = Operand::dense(a.data(), bt, m, k).t();
+        gemm(ats, gs, &mut db, &BatchLayout::dense(bt, k, n), k, m, n);
 
         for s in 0..bt {
+            let (a_s, g_s) =
+                (&a.data()[s * m * k..(s + 1) * m * k], &g.data()[s * m * n..(s + 1) * m * n]);
+            let b_s = &b.data()[s * k * n..(s + 1) * k * n];
             let mut da_ref = vec![0.0f32; m * k];
-            matmul_nt_into(
-                &g.data()[s * m * n..(s + 1) * m * n],
-                &b.data()[s * k * n..(s + 1) * k * n],
-                &mut da_ref,
-                m,
-                n,
-                k,
-            );
+            let bt_s = Operand::dense(b_s, 1, k, n).t();
+            gemm_2d(Operand::dense(g_s, 1, m, n), bt_s, &mut da_ref, m, n, k);
             assert_eq!(&da[s * m * k..(s + 1) * m * k], &da_ref[..]);
             let mut db_ref = vec![0.0f32; k * n];
-            matmul_tn_into(
-                &a.data()[s * m * k..(s + 1) * m * k],
-                &g.data()[s * m * n..(s + 1) * m * n],
-                &mut db_ref,
-                m,
-                k,
-                n,
-            );
+            let at_s = Operand::dense(a_s, 1, m, k).t();
+            gemm_2d(at_s, Operand::dense(g_s, 1, m, n), &mut db_ref, k, m, n);
             assert_eq!(&db[s * k * n..(s + 1) * k * n], &db_ref[..]);
         }
     }
@@ -2113,21 +1879,108 @@ mod tests {
         let a = Tensor::randn(&[33, 48], 1.0, &mut rng);
         let b = Tensor::randn(&[17, 48], 1.0, &mut rng);
         let g = Tensor::randn(&[33, 17], 1.0, &mut rng);
-        let serial_mm = a.matmul(&b.transpose2d());
-        let mut serial_nt = vec![0.0f32; 33 * 17];
-        matmul_nt_into(a.data(), b.data(), &mut serial_nt, 33, 48, 17);
-        let mut serial_tn = vec![0.0f32; 48 * 17];
-        matmul_tn_into(a.data(), g.data(), &mut serial_tn, 33, 48, 17);
+        let run = || {
+            let mut nt = vec![0.0f32; 33 * 17];
+            let bt = Operand::dense(b.data(), 1, 17, 48).t();
+            gemm_2d(Operand::dense(a.data(), 1, 33, 48), bt, &mut nt, 33, 48, 17);
+            let mut tn = vec![0.0f32; 48 * 17];
+            let at = Operand::dense(a.data(), 1, 33, 48).t();
+            gemm_2d(at, Operand::dense(g.data(), 1, 33, 17), &mut tn, 48, 33, 17);
+            (a.matmul(&b.transpose2d()), nt, tn)
+        };
+        let (serial_mm, serial_nt, serial_tn) = run();
         set_kernel_threads(Some(3));
-        let par_mm = a.matmul(&b.transpose2d());
-        let mut par_nt = vec![0.0f32; 33 * 17];
-        matmul_nt_into(a.data(), b.data(), &mut par_nt, 33, 48, 17);
-        let mut par_tn = vec![0.0f32; 48 * 17];
-        matmul_tn_into(a.data(), g.data(), &mut par_tn, 33, 48, 17);
+        let (par_mm, par_nt, par_tn) = run();
         set_kernel_threads(None);
         assert_eq!(serial_mm.data(), par_mm.data());
         assert_eq!(serial_nt, par_nt);
         assert_eq!(serial_tn, par_tn);
+    }
+
+    #[test]
+    fn zero_size_products_return_at_once_under_forced_threads() {
+        set_kernel_threads(Some(2));
+        let no_cols = Tensor::zeros(&[4, 3]).matmul(&Tensor::zeros(&[3, 0]));
+        let no_inner = Tensor::ones(&[4, 0]).matmul(&Tensor::ones(&[0, 5]));
+        let no_batch_cols = Tensor::zeros(&[2, 4, 3]).bmm(&Tensor::zeros(&[2, 3, 0]));
+        matmul_into_packed(&[1.0; 12], &[], &mut [], 4, 3, 0);
+        let mut out = [0.0f32; 6];
+        gemm(
+            Operand::dense(&[], 2, 0, 4),
+            Operand::dense(&[], 2, 4, 3),
+            &mut [],
+            &BatchLayout::dense(2, 0, 3),
+            0,
+            4,
+            3,
+        );
+        gemm(
+            Operand::dense(&[], 1, 2, 0),
+            Operand::dense(&[], 1, 0, 3),
+            &mut out,
+            &BatchLayout::dense(1, 2, 3),
+            2,
+            0,
+            3,
+        );
+        set_kernel_threads(None);
+        assert_eq!(no_cols.shape(), &[4, 0]);
+        assert_eq!(no_inner.data(), &[0.0; 20]);
+        assert_eq!(no_batch_cols.shape(), &[2, 4, 0]);
+        assert_eq!(out, [0.0; 6]);
+    }
+
+    #[test]
+    fn transposed_lhs_above_the_in_place_limit_is_staged() {
+        // A 300×300 stored slice (90 000 elements) is past TN_DIRECT_MAX_A,
+        // so both the single-slice and the batched call stage it.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        let (s, m, k, n) = (2, 300, 300, 3);
+        assert!(m * k > TN_DIRECT_MAX_A);
+        let a = Tensor::randn(&[s, k, m], 1.0, &mut rng);
+        let b = Tensor::randn(&[s, k, n], 1.0, &mut rng);
+        let mut batched = vec![0.0f32; s * m * n];
+        let (at, bs) = (Operand::dense(a.data(), s, k, m).t(), Operand::dense(b.data(), s, k, n));
+        gemm(at, bs, &mut batched, &BatchLayout::dense(s, m, n), m, k, n);
+        for i in 0..s {
+            let a_i = Tensor::from_vec(a.data()[i * k * m..(i + 1) * k * m].to_vec(), &[k, m]);
+            let b_i = Tensor::from_vec(b.data()[i * k * n..(i + 1) * k * n].to_vec(), &[k, n]);
+            let want = naive_matmul(&a_i.transpose2d(), &b_i);
+            let mut single = vec![0.0f32; m * n];
+            gemm_2d(
+                Operand::dense(a_i.data(), 1, k, m).t(),
+                Operand::dense(b_i.data(), 1, k, n),
+                &mut single,
+                m,
+                k,
+                n,
+            );
+            assert_eq!(single, want.data());
+            assert_eq!(&batched[i * m * n..(i + 1) * m * n], want.data());
+        }
+    }
+
+    #[test]
+    fn packed_slices_inside_a_batch_match_the_plain_kernel() {
+        // k·n = 2¹⁷ with m ≥ 2·MR and n ≥ NR: every slice of the batch is
+        // past the packing crossover.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let (s, m, k, n) = (2, 9, 512, 256);
+        assert!(should_pack(m, k, n));
+        let a = Tensor::randn(&[s, m, k], 1.0, &mut rng);
+        let b = Tensor::randn(&[s, k, n], 1.0, &mut rng);
+        let mut got = vec![0.0f32; s * m * n];
+        let (lhs, rhs) = (Operand::dense(a.data(), s, m, k), Operand::dense(b.data(), s, k, n));
+        gemm(lhs, rhs, &mut got, &BatchLayout::dense(s, m, n), m, k, n);
+        for i in 0..s {
+            let mut want = vec![0.0f32; m * n];
+            let (a_i, b_i) =
+                (&a.data()[i * m * k..(i + 1) * m * k], &b.data()[i * k * n..(i + 1) * k * n]);
+            matmul_into_plain(a_i, b_i, &mut want, m, k, n);
+            assert_eq!(&got[i * m * n..(i + 1) * m * n], &want[..]);
+        }
     }
 
     #[test]
@@ -2266,7 +2119,7 @@ mod tests {
         assert!(x.transpose_last2_view().batch_layout().is_none());
     }
 
-    // -- layout kernels ≡ dense kernels over materialized views -------
+    // -- gemm over strided layouts ----------------------------------
 
     fn layout_fixture() -> (Tensor, Tensor, usize, usize, usize, usize) {
         use rand::SeedableRng;
@@ -2278,86 +2131,20 @@ mod tests {
     }
 
     #[test]
-    fn bmm_nt_layout_matches_dense_on_materialized_views() {
-        let (q, k, b, h, t, dk) = layout_fixture();
-        let qs = q.split_heads_view(h);
-        let ks = k.split_heads_view(h);
-        let (lq, lk) = (qs.batch_layout().unwrap(), ks.batch_layout().unwrap());
-        let lo = BatchLayout::dense(b * h, t, t);
-        let mut got = vec![0.0f32; b * h * t * t];
-        bmm_nt_layout_into(q.storage(), &lq, k.storage(), &lk, &mut got, &lo, t, dk, t);
-        let mut want = vec![0.0f32; b * h * t * t];
-        bmm_nt_into(qs.contiguous().data(), ks.contiguous().data(), &mut want, b * h, t, dk, t);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn bmm_layout_matches_dense_when_writing_into_merged_rows() {
-        use rand::SeedableRng;
-        let (q, _k, b, h, t, dk) = layout_fixture();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let attn = Tensor::randn(&[b * h, t, t], 1.0, &mut rng);
-        let vs = q.split_heads_view(h);
-        let la = BatchLayout::dense(b * h, t, t);
-        let lv = vs.batch_layout().unwrap();
-        // Write straight into merged [b, t, h*dk] row offsets.
-        let lo = BatchLayout {
-            offset: 0,
-            outer: b,
-            inner: h,
-            outer_stride: t * h * dk,
-            inner_stride: dk,
-            row_stride: h * dk,
-        };
-        let mut got = vec![0.0f32; b * t * h * dk];
-        bmm_layout_into(attn.data(), &la, q.storage(), &lv, &mut got, &lo, t, t, dk);
-        // Reference: dense bmm then copying merge.
-        let mut split_out = vec![0.0f32; b * h * t * dk];
-        bmm_into(attn.data(), vs.contiguous().data(), &mut split_out, b * h, t, t, dk);
-        let mut want = vec![0.0f32; b * t * h * dk];
-        for bi in 0..b {
-            for hh in 0..h {
-                for ti in 0..t {
-                    for p in 0..dk {
-                        want[bi * t * h * dk + ti * h * dk + hh * dk + p] =
-                            split_out[((bi * h + hh) * t + ti) * dk + p];
-                    }
-                }
-            }
-        }
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn bmm_tn_layout_matches_dense_on_materialized_views() {
-        use rand::SeedableRng;
-        let (q, _k, b, h, t, dk) = layout_fixture();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
-        let attn = Tensor::randn(&[b * h, t, t], 1.0, &mut rng);
-        let gs = q.split_heads_view(h); // stand-in for the out-grad view
-        let la = BatchLayout::dense(b * h, t, t);
-        let lg = gs.batch_layout().unwrap();
-        let lo = BatchLayout::dense(b * h, t, dk);
-        let mut got = vec![0.0f32; b * h * t * dk];
-        bmm_tn_layout_into(attn.data(), &la, q.storage(), &lg, &mut got, &lo, t, t, dk);
-        let mut want = vec![0.0f32; b * h * t * dk];
-        bmm_tn_into(attn.data(), gs.contiguous().data(), &mut want, b * h, t, t, dk);
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn bmm_nt_db_layout_matches_inline_scatter() {
         use rand::SeedableRng;
         let (q, _k, b, h, t, dk) = layout_fixture();
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let g = Tensor::randn(&[b * h, t, t], 1.0, &mut rng);
         let qs = q.split_heads_view(h);
-        let la = qs.batch_layout().unwrap();
-        let lg = BatchLayout::dense(b * h, t, t);
         let lo = BatchLayout::dense(b * h, t, dk);
+        // dB += Gᵀ · A, with A read through the head-split layout.
+        let gt = Operand::dense(g.data(), b * h, t, t).t();
+        let a = Operand::new(q.storage(), qs.batch_layout().unwrap());
         let mut got = vec![0.0f32; b * h * t * dk];
-        bmm_nt_db_layout_into(q.storage(), &la, g.data(), &lg, &mut got, &lo, t, dk, t);
-        // Reference: the fused bmm_nt backward's dB scatter on dense slices.
+        gemm(gt, a, &mut got, &lo, t, t, dk);
+        // Reference: the scatter the fused bmm_nt backward ran on dense
+        // slices (ascending i, skip-zero on a).
         let a_dense = qs.contiguous();
         let mut want = vec![0.0f32; b * h * t * dk];
         for s in 0..b * h {
@@ -2382,15 +2169,18 @@ mod tests {
     #[test]
     fn layout_kernels_are_thread_count_invariant() {
         let (q, k, b, h, t, dk) = layout_fixture();
-        let qs = q.split_heads_view(h);
-        let ks = k.split_heads_view(h);
-        let (lq, lk) = (qs.batch_layout().unwrap(), ks.batch_layout().unwrap());
+        let (qs, ks) = (q.split_heads_view(h), k.split_heads_view(h));
+        let lhs = Operand::new(q.storage(), qs.batch_layout().unwrap());
+        let rhs = Operand::new(k.storage(), ks.batch_layout().unwrap()).t();
         let lo = BatchLayout::dense(b * h, t, t);
-        let mut serial = vec![0.0f32; b * h * t * t];
-        bmm_nt_layout_into(q.storage(), &lq, k.storage(), &lk, &mut serial, &lo, t, dk, t);
+        let run = || {
+            let mut out = vec![0.0f32; b * h * t * t];
+            gemm(lhs, rhs, &mut out, &lo, t, dk, t);
+            out
+        };
+        let serial = run();
         set_kernel_threads(Some(3));
-        let mut par = vec![0.0f32; b * h * t * t];
-        bmm_nt_layout_into(q.storage(), &lq, k.storage(), &lk, &mut par, &lo, t, dk, t);
+        let par = run();
         set_kernel_threads(None);
         assert_eq!(serial, par);
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor engine: algebraic identities of the
 //! kernels and linearity/consistency of the autograd tape.
 
-use irs_tensor::{Graph, Tensor};
+use irs_tensor::{gemm, BatchLayout, Graph, Operand, Tensor};
 use proptest::prelude::*;
 
 /// Strategy: a tensor with the given shape and small finite entries.
@@ -12,6 +12,71 @@ fn tensor(shape: &'static [usize]) -> impl Strategy<Value = Tensor> {
 
 fn close(a: f32, b: f32, tol: f32) -> bool {
     (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
+}
+
+/// A batched `[B·H, rows, cols]` matrix stored for `gemm`: dense, or as a
+/// head-split view — slice `b·H + h` is the `h`-th `cols`-wide column
+/// block of a `[B, rows, H·cols + 1]` buffer.  The pad column and the
+/// element before the view hold NaN, so a stray read shows in the bits.
+struct Stored {
+    data: Vec<f32>,
+    layout: BatchLayout,
+}
+
+impl Stored {
+    fn new(
+        (outer, heads): (usize, usize),
+        (rows, cols): (usize, usize),
+        view: bool,
+        val: impl Fn(usize) -> f32,
+    ) -> Stored {
+        let layout = if view {
+            let w = heads * cols + 1;
+            BatchLayout {
+                offset: 1,
+                outer,
+                inner: heads,
+                outer_stride: rows * w,
+                inner_stride: cols,
+                row_stride: w,
+            }
+        } else {
+            BatchLayout::dense(outer * heads, rows, cols)
+        };
+        let len = layout.offset + layout.outer * layout.outer_stride;
+        let mut st = Stored { data: vec![f32::NAN; len], layout };
+        for s in 0..outer * heads {
+            for r in 0..rows {
+                for c in 0..cols {
+                    let i = st.addr(s, r, c);
+                    st.data[i] = val((s * rows + r) * cols + c);
+                }
+            }
+        }
+        st
+    }
+
+    fn addr(&self, s: usize, r: usize, c: usize) -> usize {
+        let l = &self.layout;
+        l.offset
+            + (s / l.inner) * l.outer_stride
+            + (s % l.inner) * l.inner_stride
+            + r * l.row_stride
+            + c
+    }
+
+    fn at(&self, s: usize, r: usize, c: usize) -> f32 {
+        self.data[self.addr(s, r, c)]
+    }
+
+    fn operand(&self, transposed: bool) -> Operand<'_> {
+        let op = Operand::new(&self.data, self.layout);
+        if transposed {
+            op.t()
+        } else {
+            op
+        }
+    }
 }
 
 proptest! {
@@ -158,6 +223,70 @@ proptest! {
         irs_tensor::matmul_into_packed(&a, &b, &mut packed, m, k, n);
         for (p, q) in plain.iter().zip(&packed) {
             prop_assert_eq!(p.to_bits(), q.to_bits(), "{m}x{k}x{n}: {p} vs {q}");
+        }
+    }
+
+    /// `gemm` is bitwise equal to a naive loop that reads `op(a)`/`op(b)`
+    /// by index, across `S = B·H` slices, contractions crossing
+    /// `K_BLOCK = 64`, every transpose pattern, dense and head-split
+    /// operands, dense and merged-head outputs, zeros in the left operand
+    /// and kernel thread counts.  The naive loop skips no zeros: with
+    /// finite inputs and a `+0.0` start the skip rule moves no bit.
+    #[test]
+    fn gemm_bitwise_equals_naive_over_layouts(
+        (outer, heads) in (1usize..4, 1usize..3),
+        (m, k, n) in (1usize..70, 1usize..70, 1usize..70),
+        (trans, a_view, b_view, merged) in (0usize..3, 0usize..2, 0usize..2, 0usize..2),
+        seed in 0u32..1000,
+    ) {
+        let (ta, tb) = (trans == 1, trans == 2);
+        let sin = |i: usize, salt: f32| ((i as f32 * 0.37 + seed as f32 * salt).sin()) * 2.0;
+        let zero_every_fifth = |i: usize| (i + seed as usize).is_multiple_of(5);
+        let a_val = |i: usize| if zero_every_fifth(i) { 0.0 } else { sin(i, 0.11) };
+        let a_dims = if ta { (k, m) } else { (m, k) };
+        let b_dims = if tb { (n, k) } else { (k, n) };
+        let a = Stored::new((outer, heads), a_dims, a_view == 1, a_val);
+        let b = Stored::new((outer, heads), b_dims, b_view == 1, |i| sin(i, 0.29));
+        let slices = outer * heads;
+        let lo = if merged == 1 {
+            BatchLayout {
+                offset: 0,
+                outer,
+                inner: heads,
+                outer_stride: m * heads * n,
+                inner_stride: n,
+                row_stride: heads * n,
+            }
+        } else {
+            BatchLayout::dense(slices, m, n)
+        };
+        let mut want = vec![0.0f32; slices * m * n];
+        for s in 0..slices {
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        let a_ip = if ta { a.at(s, p, i) } else { a.at(s, i, p) };
+                        let b_pj = if tb { b.at(s, j, p) } else { b.at(s, p, j) };
+                        acc += a_ip * b_pj;
+                    }
+                    let o = (s / lo.inner) * lo.outer_stride + (s % lo.inner) * lo.inner_stride;
+                    want[o + i * lo.row_stride + j] = acc;
+                }
+            }
+        }
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        for threads in [None, Some(3)] {
+            irs_tensor::set_kernel_threads(threads);
+            let mut out = vec![0.0f32; slices * m * n];
+            gemm(a.operand(ta), b.operand(tb), &mut out, &lo, m, k, n);
+            irs_tensor::set_kernel_threads(None);
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(
+                &got, &want,
+                "S={outer}x{heads} {m}x{k}x{n} trans={trans} views={a_view}{b_view} \
+                 merged={merged} threads={threads:?}"
+            );
         }
     }
 
