@@ -9,8 +9,7 @@
 //! `CRITERION_JSON=BENCH_serving.json` so the serving-perf trajectory
 //! accumulates as a build artifact next to the inference bench.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,8 +20,8 @@ use irs_data::split::{split_dataset, SplitConfig};
 use irs_data::synth::{generate, SynthConfig};
 use irs_data::ItemId;
 use irs_serve::{
-    BatchPolicy, Engine, FeedbackEvent, HttpServer, IrnOnlineLearner, JsonValue, ModelSnapshot,
-    OnlineConfig, OnlineHandle, OnlineLearner, ServerConfig, SnapshotRegistry,
+    BatchPolicy, Engine, FeedbackEvent, HttpClient, HttpServer, IrnOnlineLearner, JsonValue,
+    ModelSnapshot, OnlineConfig, OnlineHandle, OnlineLearner, ServerConfig, SnapshotRegistry,
 };
 use std::hint::black_box;
 
@@ -80,81 +79,26 @@ fn replay(
     })
 }
 
-/// Minimal HTTP/1.1 client for the socket-level benches.  `keep_alive:
-/// false` reconnects for every request (`Connection: close`) — the v1
-/// thread-per-socket cost model; `keep_alive: true` reuses one
-/// connection for the client's whole traffic, exercising the v2
-/// keep-alive pool's warm path.
-struct HttpConn {
-    addr: SocketAddr,
-    keep_alive: bool,
-    stream: Option<TcpStream>,
-    buf: Vec<u8>,
-}
-
-impl HttpConn {
-    fn new(addr: SocketAddr, keep_alive: bool) -> Self {
-        HttpConn { addr, keep_alive, stream: None, buf: Vec::new() }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> JsonValue {
-        let mut stream = self.stream.take().unwrap_or_else(|| {
-            let s = TcpStream::connect(self.addr).expect("connect");
-            s.set_nodelay(true).expect("nodelay");
-            s
-        });
-        let connection = if self.keep_alive { "keep-alive" } else { "close" };
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\
-             Connection: {connection}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("write request");
-        self.buf.clear();
-        let mut chunk = [0u8; 4096];
-        let head_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos + 4;
-            }
-            let n = stream.read(&mut chunk).expect("read head");
-            assert!(n > 0, "server closed before the response head completed");
-            self.buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = std::str::from_utf8(&self.buf[..head_end]).expect("response head");
-        assert!(head.starts_with("HTTP/1.1 200"), "request failed: {head:?}");
-        let content_length: usize = head
-            .lines()
-            .find_map(|line| {
-                let (name, value) = line.split_once(':')?;
-                name.trim().eq_ignore_ascii_case("content-length").then(|| value.trim())
-            })
-            .and_then(|v| v.parse().ok())
-            .expect("Content-Length");
-        while self.buf.len() < head_end + content_length {
-            let n = stream.read(&mut chunk).expect("read body");
-            assert!(n > 0, "server closed mid-body");
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-        let payload = std::str::from_utf8(&self.buf[head_end..head_end + content_length])
-            .expect("response body");
-        let value = JsonValue::parse(payload).expect("response JSON");
-        if self.keep_alive {
-            self.stream = Some(stream);
-        }
-        value
-    }
+/// One request that must answer 200; returns the parsed body.
+fn call(client: &mut HttpClient, method: &str, path: &str, body: &str) -> JsonValue {
+    let (status, value) = client.json(method, path, body).expect("HTTP request");
+    assert_eq!(status, 200, "request failed: {value}");
+    value
 }
 
 /// Drive every script to completion over real sockets, one client
-/// thread per script.  Returns total requests issued.
+/// thread per script.  `keep_alive: false` reconnects for every request
+/// (`Connection: close`) — the v1 thread-per-socket cost model;
+/// `keep_alive: true` reuses one connection for the client's whole
+/// traffic, exercising the v2 keep-alive pool's warm path.  Returns total
+/// requests issued.
 fn http_replay(addr: SocketAddr, scripts: &[Script], keep_alive: bool) -> usize {
     std::thread::scope(|scope| {
         let handles: Vec<_> = scripts
             .iter()
             .map(|script| {
                 scope.spawn(move || {
-                    let mut conn = HttpConn::new(addr, keep_alive);
+                    let mut conn = HttpClient::new(addr, keep_alive);
                     let history: Vec<String> =
                         script.history.iter().map(ToString::to_string).collect();
                     let body = format!(
@@ -164,19 +108,20 @@ fn http_replay(addr: SocketAddr, scripts: &[Script], keep_alive: bool) -> usize 
                         script.objective
                     );
                     let mut requests = 1usize;
-                    let created = conn.request("POST", "/v1/session", &body);
+                    let created = call(&mut conn, "POST", "/v1/session", &body);
                     let sid = created
                         .get("session_id")
                         .and_then(JsonValue::as_usize)
                         .expect("session id");
                     loop {
-                        let next = conn.request("POST", &format!("/v1/session/{sid}/next"), "");
+                        let next = call(&mut conn, "POST", &format!("/v1/session/{sid}/next"), "");
                         requests += 1;
                         if next.get("done").and_then(JsonValue::as_bool) == Some(true) {
                             break;
                         }
                         let item = next.get("item").and_then(JsonValue::as_usize).expect("item");
-                        let fb = conn.request(
+                        let fb = call(
+                            &mut conn,
                             "POST",
                             &format!("/v1/session/{sid}/feedback"),
                             &format!("{{\"item\": {item}, \"accepted\": true}}"),
@@ -186,7 +131,7 @@ fn http_replay(addr: SocketAddr, scripts: &[Script], keep_alive: bool) -> usize 
                             break;
                         }
                     }
-                    conn.request("DELETE", &format!("/v1/session/{sid}"), "");
+                    call(&mut conn, "DELETE", &format!("/v1/session/{sid}"), "");
                     requests + 1
                 })
             })
@@ -253,7 +198,7 @@ fn bench_serving(c: &mut Criterion) {
         b.iter(|| black_box(http_replay(addr, &scripts, true)))
     });
     group.finish();
-    HttpConn::new(addr, false).request("POST", "/v1/admin/shutdown", "");
+    call(&mut HttpClient::new(addr, false), "POST", "/v1/admin/shutdown", "");
     server_thread.join().expect("server thread").expect("server run");
     engine.shutdown();
 

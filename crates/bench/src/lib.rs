@@ -5,8 +5,8 @@
 //! rationale and `EXPERIMENTS.md` for recorded results).
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning a
-//! formatted report string; the `src/bin/exp_*.rs` binaries are thin
-//! wrappers, and `src/bin/run_all.rs` regenerates the full set.
+//! formatted report string; `src/bin/run_all.rs` regenerates the full set,
+//! or the experiments named on its command line (`run_all -- table1`).
 //!
 //! Scale is controlled by [`harness::HarnessConfig`]: `quick()` finishes in
 //! seconds (used by integration tests and the current `EXPERIMENTS.md`

@@ -5,7 +5,8 @@
 //! search keeps the `beam_width` most probable partial paths and scores
 //! complete candidates by mean log-probability plus a bonus for reaching
 //! the objective, trading extra compute for smoother and more successful
-//! paths.  The ablation experiment (`exp_ablations`) compares the two.
+//! paths.  The ablation experiment (`run_all -- ablations`) compares the
+//! two.
 
 use irs_data::{ItemId, UserId};
 

@@ -289,8 +289,8 @@ where
 
 /// Run many interactive persuasion sessions in lockstep: each round every
 /// live session requests one proposal, and all requests share a single
-/// [`InfluenceRecommender::next_items`] call (one batched forward per
-/// round for model-backed recommenders).
+/// [`InfluenceRecommender::next_items_into`] call (one batched forward
+/// per round for model-backed recommenders).
 ///
 /// Each session follows exactly the [`run_interactive_session`] protocol —
 /// for a deterministic user model the outcomes are identical — but the
@@ -316,13 +316,13 @@ where
     let mut live: Vec<usize> =
         sessions.iter().enumerate().filter(|(_, s)| !s.is_done()).map(|(i, _)| i).collect();
 
+    let mut answers = Vec::with_capacity(live.len());
     while !live.is_empty() {
-        let answers = {
-            let queries: Vec<NextQuery<'_>> = live.iter().map(|&i| sessions[i].query()).collect();
-            rec.next_items(&queries)
-        };
+        answers.clear();
+        let queries: Vec<NextQuery<'_>> = live.iter().map(|&i| sessions[i].query()).collect();
+        rec.next_items_into(&queries, &mut answers);
         let mut still_live = Vec::with_capacity(live.len());
-        for (&i, answer) in live.iter().zip(answers) {
+        for (&i, &answer) in live.iter().zip(&answers) {
             let s = &mut sessions[i];
             let Some(item) = answer else {
                 s.record_give_up();

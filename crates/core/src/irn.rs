@@ -1050,7 +1050,9 @@ mod tests {
             .enumerate()
             .map(|(u, (h, p))| NextQuery { user: u, history: h, objective: 9, path: p })
             .collect();
-        let batched = model.next_items(&queries);
+        let mut batched = Vec::new();
+        model.next_items_into(&queries, &mut batched);
+        assert_eq!(batched.len(), queries.len());
         for (q, b) in queries.iter().zip(&batched) {
             assert_eq!(*b, model.next_item(q.user, q.history, q.objective, q.path));
         }

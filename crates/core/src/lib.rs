@@ -134,8 +134,8 @@ pub struct NextQuery<'a> {
 }
 
 /// Assemble the per-query scoring inputs shared by every batched
-/// `next_items` override: the `(history ⊕ path)` context and the user id
-/// of each query.
+/// `next_items_into` override: the `(history ⊕ path)` context and the
+/// user id of each query.
 pub(crate) fn batched_query_parts(queries: &[NextQuery<'_>]) -> (Vec<Vec<ItemId>>, Vec<UserId>) {
     let contexts = queries
         .iter()
@@ -165,27 +165,13 @@ pub trait InfluenceRecommender {
         path: &[ItemId],
     ) -> Option<ItemId>;
 
-    /// Extend many paths in one call, one answer per query.
-    ///
-    /// The provided implementation delegates to
-    /// [`InfluenceRecommender::next_items_into`] — the `_into` variant is
-    /// the one model-backed frameworks override ([`Irn`] via
-    /// `score_next_batch`, [`Vanilla`]/[`Rec2Inf`] via their scorer's
-    /// batch path), so batching is shared and the allocating wrapper is
-    /// just a `Vec` around it.  Overrides must answer each query exactly
-    /// as `next_item` would.
-    fn next_items(&self, queries: &[NextQuery<'_>]) -> Vec<Option<ItemId>> {
-        let mut out = Vec::with_capacity(queries.len());
-        self.next_items_into(queries, &mut out);
-        out
-    }
-
-    /// Like [`InfluenceRecommender::next_items`], but appending the
-    /// answers to a caller-owned buffer so a serving loop can reuse one
-    /// allocation across batches.  The provided implementation loops over
-    /// [`InfluenceRecommender::next_item`] (never through `next_items`,
-    /// so neither default recurses into the other); batched models
-    /// override this variant directly.
+    /// Extend many paths in one call, appending one answer per query to a
+    /// caller-owned buffer so a serving loop or a path generator reuses
+    /// one allocation across batches.  The provided implementation loops
+    /// over [`InfluenceRecommender::next_item`]; model-backed frameworks
+    /// override it ([`Irn`] via `score_next_batch`, [`Vanilla`]/[`Rec2Inf`]
+    /// via their scorer's batch path).  Overrides must answer each query
+    /// exactly as `next_item` would.
     fn next_items_into(&self, queries: &[NextQuery<'_>], out: &mut Vec<Option<ItemId>>) {
         for q in queries {
             out.push(self.next_item(q.user, q.history, q.objective, q.path));
@@ -276,8 +262,9 @@ pub struct PathRequest<'a> {
 }
 
 /// Batched Algorithm 1: advance every open path by one item per round via
-/// [`InfluenceRecommender::next_items`], so a model-backed recommender pays
-/// one batched forward per step instead of one forward per user per step.
+/// [`InfluenceRecommender::next_items_into`], so a model-backed
+/// recommender pays one batched forward per step instead of one forward
+/// per user per step.
 ///
 /// Produces exactly the paths `generate_influence_path` would produce
 /// request-by-request (a path closes when its objective is recommended,
@@ -290,22 +277,22 @@ pub fn generate_influence_paths<R: InfluenceRecommender + ?Sized>(
     let mut paths: Vec<Vec<ItemId>> = vec![Vec::new(); requests.len()];
     let mut open: Vec<usize> =
         if max_len == 0 { Vec::new() } else { (0..requests.len()).collect() };
+    let mut answers = Vec::with_capacity(open.len());
     while !open.is_empty() {
-        let answers = {
-            let queries: Vec<NextQuery<'_>> = open
-                .iter()
-                .map(|&i| NextQuery {
-                    user: requests[i].user,
-                    history: requests[i].history,
-                    objective: requests[i].objective,
-                    path: &paths[i],
-                })
-                .collect();
-            rec.next_items(&queries)
-        };
-        debug_assert_eq!(answers.len(), open.len(), "next_items must answer every query");
+        answers.clear();
+        let queries: Vec<NextQuery<'_>> = open
+            .iter()
+            .map(|&i| NextQuery {
+                user: requests[i].user,
+                history: requests[i].history,
+                objective: requests[i].objective,
+                path: &paths[i],
+            })
+            .collect();
+        rec.next_items_into(&queries, &mut answers);
+        debug_assert_eq!(answers.len(), open.len(), "next_items_into must answer every query");
         let mut still_open = Vec::with_capacity(open.len());
-        for (&i, answer) in open.iter().zip(answers) {
+        for (&i, &answer) in open.iter().zip(&answers) {
             if let Some(item) = answer {
                 paths[i].push(item);
                 if item != requests[i].objective && paths[i].len() < max_len {

@@ -9,11 +9,12 @@
 //! acceptance threshold into a hard failure.
 //!
 //! `--keep-alive` instead boots the full HTTP frontend in-process and
-//! drives the same session traffic over real sockets twice — once
-//! opening a fresh connection per request (`Connection: close`), once
-//! reusing one keep-alive connection per client — and reports the
-//! connection-reuse win (throughput + p50/p95/p99).  With
-//! `IRS_SERVE_ASSERT=1` the ≥1.3x keep-alive threshold is enforced.
+//! drives the same session traffic over real sockets twice through
+//! [`HttpClient`], the crate's one HTTP/1.1 client — once opening a fresh
+//! connection per request (`Connection: close`), once reusing one
+//! keep-alive connection per client — and reports the connection-reuse
+//! win (throughput + p50/p95/p99).  With `IRS_SERVE_ASSERT=1` the ≥1.3x
+//! keep-alive threshold is enforced.
 //!
 //! ```text
 //! cargo run --release -p irs_serve --bin serve_load -- \
@@ -24,8 +25,7 @@
 //!     [--log-level error|warn|info|debug|trace] [--log-format text|json]
 //! ```
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,7 +37,8 @@ use irs_data::ItemId;
 use irs_obs::log::{Format, Level};
 use irs_obs::{log_error, log_info};
 use irs_serve::{
-    BatchPolicy, Engine, HttpServer, JsonValue, ModelSnapshot, ServerConfig, SnapshotRegistry,
+    BatchPolicy, Engine, HttpClient, HttpServer, JsonValue, ModelSnapshot, ServerConfig,
+    SnapshotRegistry,
 };
 
 struct Opts {
@@ -270,83 +271,6 @@ fn run_load(
     LoadReport { requests, wall, latencies_us, mean_batch }
 }
 
-/// Minimal blocking HTTP/1.1 client for the socket-level load modes.
-///
-/// In keep-alive mode one connection is opened lazily and reused for
-/// every request; in close mode each request connects fresh and sends
-/// `Connection: close` — exactly the two behaviours whose throughput
-/// the `--keep-alive` run compares.
-struct HttpClient {
-    addr: SocketAddr,
-    keep_alive: bool,
-    stream: Option<TcpStream>,
-    buf: Vec<u8>,
-}
-
-impl HttpClient {
-    fn new(addr: SocketAddr, keep_alive: bool) -> Self {
-        HttpClient { addr, keep_alive, stream: None, buf: Vec::new() }
-    }
-
-    /// One request/response round trip; returns (status, parsed body).
-    fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, JsonValue) {
-        let mut stream = match self.stream.take() {
-            Some(s) => s,
-            None => {
-                let s = TcpStream::connect(self.addr).expect("connect");
-                s.set_nodelay(true).expect("nodelay");
-                s.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
-                s
-            }
-        };
-        let connection = if self.keep_alive { "keep-alive" } else { "close" };
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
-             Connection: {connection}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("write request");
-        self.buf.clear();
-        let mut chunk = [0u8; 4096];
-        let head_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos + 4;
-            }
-            let n = stream.read(&mut chunk).expect("read head");
-            assert!(n > 0, "server closed before the response head completed");
-            self.buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = std::str::from_utf8(&self.buf[..head_end]).expect("non-UTF-8 response head");
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("malformed status line: {head:?}"));
-        let content_length: usize = head
-            .lines()
-            .find_map(|line| {
-                let (name, value) = line.split_once(':')?;
-                name.trim().eq_ignore_ascii_case("content-length").then(|| value.trim())
-            })
-            .and_then(|v| v.parse().ok())
-            .expect("every response must carry Content-Length");
-        while self.buf.len() < head_end + content_length {
-            let n = stream.read(&mut chunk).expect("read body");
-            assert!(n > 0, "server closed mid-body");
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-        let payload =
-            std::str::from_utf8(&self.buf[head_end..head_end + content_length]).expect("body");
-        let json =
-            JsonValue::parse(payload).unwrap_or_else(|e| panic!("bad JSON body {payload:?}: {e}"));
-        if self.keep_alive {
-            self.stream = Some(stream);
-        }
-        (status, json)
-    }
-}
-
 /// Drive one scripted session over HTTP to completion:
 /// create → (next → feedback-accept)* → delete.  Returns per-request
 /// latencies (µs) appended to `lats`.
@@ -363,13 +287,14 @@ fn drive_http_session(
         history.join(",")
     );
     let t0 = Instant::now();
-    let (status, created) = client.request("POST", "/v1/session", &body);
+    let (status, created) = client.json("POST", "/v1/session", &body).expect("create");
     lats.push(t0.elapsed().as_micros() as u64);
     assert_eq!(status, 200, "create failed: {created}");
     let sid = created.get("session_id").and_then(JsonValue::as_usize).expect("session id");
     loop {
         let t0 = Instant::now();
-        let (status, next) = client.request("POST", &format!("/v1/session/{sid}/next"), "");
+        let (status, next) =
+            client.json("POST", &format!("/v1/session/{sid}/next"), "").expect("next");
         lats.push(t0.elapsed().as_micros() as u64);
         assert_eq!(status, 200, "next failed: {next}");
         if next.get("done").and_then(JsonValue::as_bool) == Some(true) {
@@ -377,11 +302,13 @@ fn drive_http_session(
         }
         let item = next.get("item").and_then(JsonValue::as_usize).expect("item");
         let t0 = Instant::now();
-        let (status, fb) = client.request(
-            "POST",
-            &format!("/v1/session/{sid}/feedback"),
-            &format!("{{\"item\": {item}, \"accepted\": true}}"),
-        );
+        let (status, fb) = client
+            .json(
+                "POST",
+                &format!("/v1/session/{sid}/feedback"),
+                &format!("{{\"item\": {item}, \"accepted\": true}}"),
+            )
+            .expect("feedback");
         lats.push(t0.elapsed().as_micros() as u64);
         assert_eq!(status, 200, "feedback failed: {fb}");
         if fb.get("done").and_then(JsonValue::as_bool) == Some(true) {
@@ -389,7 +316,7 @@ fn drive_http_session(
         }
     }
     let t0 = Instant::now();
-    let (status, _) = client.request("DELETE", &format!("/v1/session/{sid}"), "");
+    let (status, _) = client.json("DELETE", &format!("/v1/session/{sid}"), "").expect("delete");
     lats.push(t0.elapsed().as_micros() as u64);
     assert_eq!(status, 200, "delete failed");
 }
@@ -430,7 +357,7 @@ fn run_http_load(
     let wall = started.elapsed();
     // The engine's mean batch over the whole server lifetime so far — a
     // cumulative figure shared by both runs, reported for context only.
-    let (_, stats) = HttpClient::new(addr, false).request("GET", "/v1/stats", "");
+    let (_, stats) = HttpClient::new(addr, false).json("GET", "/v1/stats", "").expect("stats");
     let mean_batch = stats.get("mean_batch").and_then(JsonValue::as_f64).unwrap_or(0.0);
     latencies_us.sort_unstable();
     LoadReport { requests, wall, latencies_us, mean_batch }
@@ -557,7 +484,8 @@ fn main() -> ExitCode {
         let ratio = keep.throughput() / close.throughput().max(1e-9);
         println!("keep-alive win: {ratio:.2}x throughput over close-per-request");
         reuse_win = Some(ratio);
-        let (status, _) = HttpClient::new(addr, false).request("POST", "/v1/admin/shutdown", "");
+        let (status, _) =
+            HttpClient::new(addr, false).json("POST", "/v1/admin/shutdown", "").expect("shutdown");
         assert_eq!(status, 200, "shutdown failed");
         server_thread.join().expect("server thread").expect("server run");
         engine.shutdown();

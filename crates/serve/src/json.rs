@@ -6,24 +6,24 @@
 //! lines.  Numbers are kept as `f64` (every id in the protocol is far
 //! below 2^53, so the round-trip through a double is exact).
 //!
-//! Two parsers share one grammar (pinned against each other by the fuzz
-//! suite in `tests/json_fuzz.rs`):
+//! One grammar, one parser: [`JsonSlab::parse`] is an **arena parser**.
+//! Nodes land in a reusable flat `Vec` and decoded string bytes in a
+//! reusable byte buffer, so parsing a request body performs zero
+//! allocations once the slab's capacity has warmed up.  It reads raw
+//! `&[u8]` (HTTP bodies arrive as bytes) and validates UTF-8 once per
+//! escape-free run of a string.  [`JsonValue::parse`], the owned tree
+//! that clients and tests use, is a fresh slab plus [`JsonRef::to_value`].
 //!
-//! * [`JsonValue::parse`] — the allocating DOM (`String`/`Vec` per node),
-//!   convenient for tests, clients and cold admin routes;
-//! * [`JsonSlab::parse`] — an **arena parser** for the serving hot path:
-//!   nodes land in a reusable flat `Vec`, decoded string bytes in a
-//!   reusable byte buffer, so parsing a request body performs zero
-//!   allocations once the slab's capacity has warmed up.  It reads raw
-//!   `&[u8]` (HTTP bodies arrive as bytes) and validates UTF-8 only
-//!   where strings require it.
+//! One serialiser: [`write_json_str`] and [`write_json_num`] append to a
+//! byte buffer (the response handlers' direct path), and [`JsonValue`]'s
+//! `Display` is written through them.
 //!
-//! Both parsers bound recursion at [`MAX_DEPTH`] so adversarially nested
+//! The parser bounds recursion at [`MAX_DEPTH`] so adversarially nested
 //! input (`[[[[…`) is a parse error, not a stack overflow.
 
 use std::fmt;
 
-/// Nesting bound for both parsers: deeper documents are rejected with a
+/// Nesting bound of the parser: deeper documents are rejected with a
 /// parse error instead of risking stack exhaustion.  The serving
 /// protocol needs depth 2.
 pub const MAX_DEPTH: usize = 64;
@@ -46,17 +46,11 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Parse a complete JSON document (rejects trailing garbage and
-    /// nesting beyond [`MAX_DEPTH`]).
+    /// Parse a complete JSON document into an owned tree: a fresh
+    /// [`JsonSlab`] plus [`JsonRef::to_value`], so the grammar is the
+    /// slab's.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
-        }
-        Ok(value)
+        JsonSlab::new().parse(text.as_bytes()).map(|v| v.to_value()).map_err(|e| e.to_string())
     }
 
     /// Object field lookup.
@@ -123,6 +117,39 @@ impl JsonValue {
     pub fn num(n: usize) -> JsonValue {
         JsonValue::Num(n as f64)
     }
+
+    /// Append the value's JSON text to `out` through [`write_json_str`]
+    /// and [`write_json_num`].
+    fn write_json(&self, out: &mut Vec<u8>) {
+        match self {
+            JsonValue::Null => out.extend_from_slice(b"null"),
+            JsonValue::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            JsonValue::Num(n) => write_json_num(out, *n),
+            JsonValue::Str(s) => write_json_str(out, s),
+            JsonValue::Arr(items) => {
+                out.push(b'[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(b',');
+                    }
+                    v.write_json(out);
+                }
+                out.push(b']');
+            }
+            JsonValue::Obj(fields) => {
+                out.push(b'{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(b',');
+                    }
+                    write_json_str(out, k);
+                    out.push(b':');
+                    v.write_json(out);
+                }
+                out.push(b'}');
+            }
+        }
+    }
 }
 
 impl From<&str> for JsonValue {
@@ -133,57 +160,11 @@ impl From<&str> for JsonValue {
 
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JsonValue::Null => f.write_str("null"),
-            JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            JsonValue::Str(s) => write_escaped(f, s),
-            JsonValue::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            JsonValue::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = Vec::new();
+        self.write_json(&mut out);
+        // The writers emit UTF-8 only, so the check cannot fail.
+        f.write_str(std::str::from_utf8(&out).map_err(|_| fmt::Error)?)
     }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -192,58 +173,11 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", byte as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    scan_number(bytes, pos)
-        .map(JsonValue::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
 /// Scan one number at `*pos` with the RFC 8259 grammar
 /// (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`) — no leading
 /// `+`, no leading zeros, no empty fraction or exponent — and advance past
-/// it.  Both parsers call this; a leading zero ends the number, so `01`
-/// fails on the trailing `1`.
+/// it.  A leading zero ends the number, so `01` fails on the trailing
+/// `1`.
 fn scan_number(bytes: &[u8], pos: &mut usize) -> Option<f64> {
     let start = *pos;
     let digits = |pos: &mut usize| {
@@ -290,106 +224,12 @@ fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
     hex.iter().try_fold(0u32, |code, &b| Some(code * 16 + (b as char).to_digit(16)?))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let code = hex4(bytes, *pos + 1)
-                            .ok_or_else(|| format!("invalid \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs are not needed by the protocol;
-                        // map unpaired surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("invalid escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Arena parser (allocation-free steady state)
 // ---------------------------------------------------------------------
 
-/// Parse error of the arena parser: a byte offset plus a static message,
-/// so the error path performs no allocation either.
+/// Parse error: a byte offset plus a static message, so the error path
+/// performs no allocation either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset the parse failed at.
@@ -462,9 +302,8 @@ impl JsonSlab {
     }
 
     /// Parse a complete JSON document from raw bytes (rejects trailing
-    /// garbage, nesting beyond [`MAX_DEPTH`], and invalid UTF-8 inside
-    /// strings).  Same grammar as [`JsonValue::parse`]; the fuzz suite
-    /// pins the two parsers against each other.
+    /// garbage, nesting beyond [`MAX_DEPTH`], and invalid UTF-8 or raw
+    /// control characters inside strings).
     pub fn parse(&mut self, bytes: &[u8]) -> Result<JsonRef<'_>, JsonError> {
         self.nodes.clear();
         self.text.clear();
@@ -612,9 +451,10 @@ impl JsonSlab {
     }
 
     /// Decode one JSON string into `text`, returning its span.  Raw runs
-    /// are UTF-8-validated before they are copied; escape sequences are
-    /// resolved exactly like [`JsonValue::parse`] (unpaired `\u`
-    /// surrogates become the replacement character).
+    /// are UTF-8-validated before they are copied, and raw control
+    /// characters (U+0000–U+001F, which RFC 8259 §7 requires escaped) are
+    /// rejected; unpaired `\u` surrogates become the replacement
+    /// character.
     fn decode_string(&mut self, bytes: &[u8], pos: &mut usize) -> Result<(u32, u32), JsonError> {
         self.expect(bytes, pos, b'"')?;
         let start = self.text.len();
@@ -655,6 +495,9 @@ impl JsonSlab {
                     }
                     *pos += 1;
                     run = *pos;
+                }
+                Some(&b) if b < 0x20 => {
+                    return Err(JsonError { at: *pos, msg: "unescaped control character" })
                 }
                 Some(_) => *pos += 1,
             }
@@ -775,8 +618,8 @@ impl<'a> JsonRef<'a> {
         JsonChildren { slab: self.slab, cur: first }
     }
 
-    /// Rebuild the allocating DOM for this value — the bridge the fuzz
-    /// suite uses to compare the two parsers.
+    /// Copy this value into an owned [`JsonValue`] tree — how
+    /// [`JsonValue::parse`] builds its result.
     pub fn to_value(&self) -> JsonValue {
         let node = self.slab.node(self.idx);
         match node.payload {
@@ -821,9 +664,10 @@ impl<'a> Iterator for JsonChildren<'a> {
     }
 }
 
-/// Append `s` to `out` as a JSON string literal with the same escaping
-/// rules as [`JsonValue`]'s serialiser — the direct-write path response
-/// handlers use to avoid building a DOM.
+/// Append `s` to `out` as a JSON string literal (quotes, backslashes and
+/// control characters escaped) — the direct-write path response handlers
+/// use to avoid building a tree, and the one [`JsonValue`]'s `Display`
+/// goes through.
 pub fn write_json_str(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
     for c in s.chars() {
@@ -846,8 +690,9 @@ pub fn write_json_str(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
 }
 
-/// Append `n` to `out` with the same integer-exact formatting as
-/// [`JsonValue`]'s serialiser (whole numbers render without a fraction).
+/// Append `n` to `out` with integer-exact formatting (whole numbers
+/// render without a fraction); [`JsonValue`]'s `Display` goes through it
+/// too.
 pub fn write_json_num(out: &mut Vec<u8>, n: f64) {
     use std::io::Write;
     if n.fract() == 0.0 && n.abs() < 9e15 {
@@ -885,6 +730,15 @@ mod tests {
         ]);
         let text = v.to_string();
         assert_eq!(JsonValue::parse(&text).unwrap(), v);
+        for doc in [
+            r#"{"a": [1, {"b": null}, "x"], "c": true, "d": -2.5e3}"#,
+            r#"[[], {}, "he said \"hi\"", 0.125]"#,
+            "42",
+            r#""\u0041\u00e9""#,
+        ] {
+            let v = JsonValue::parse(doc).unwrap();
+            assert_eq!(JsonValue::parse(&v.to_string()).unwrap(), v, "round trip changed {doc}");
+        }
     }
 
     #[test]
@@ -938,24 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_matches_the_dom_parser() {
-        let mut slab = JsonSlab::new();
-        for doc in [
-            r#"{"a": [1, {"b": null}, "x"], "c": true, "d": -2.5e3}"#,
-            r#"[[], {}, "he said \"hi\"", 0.125]"#,
-            "42",
-            r#""\u0041\u00e9""#,
-        ] {
-            let dom = JsonValue::parse(doc).unwrap();
-            let arena = slab.parse(doc.as_bytes()).unwrap().to_value();
-            assert_eq!(dom, arena, "parsers disagree on {doc}");
-        }
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "nulls", "{} trailing", "\"unterminated"] {
-            assert!(slab.parse(bad.as_bytes()).is_err(), "slab accepted {bad:?}");
-        }
-    }
-
-    #[test]
     fn slab_rejects_invalid_utf8_in_strings() {
         let mut slab = JsonSlab::new();
         let mut doc = b"{\"k\": \"a".to_vec();
@@ -976,14 +812,5 @@ mod tests {
         }
         assert_eq!(slab.nodes.capacity(), nodes_cap);
         assert_eq!(slab.text.capacity(), text_cap);
-    }
-
-    #[test]
-    fn write_json_str_matches_the_dom_serialiser() {
-        for s in ["plain", "he said \"hi\"\n", "tab\there", "\u{1}", "héllo"] {
-            let mut out = Vec::new();
-            write_json_str(&mut out, s);
-            assert_eq!(String::from_utf8(out).unwrap(), JsonValue::from(s).to_string());
-        }
     }
 }

@@ -3,8 +3,8 @@
 //! The paper's IRN is an *interactive* recommender: it re-plans a
 //! persuasion path step by step as the user accepts or rejects items.
 //! This crate turns the offline engines built for that protocol
-//! (`Irn::score_next_batch`, `InfluenceRecommender::next_items`) into an
-//! online service for concurrent live traffic:
+//! (`Irn::score_next_batch`, `InfluenceRecommender::next_items_into`)
+//! into an online service for concurrent live traffic:
 //!
 //! * [`SessionStore`] — a sharded concurrent map of per-user
 //!   [`irs_core::InteractiveSession`] state (history ⊕ accepted path,
@@ -13,8 +13,9 @@
 //!   drain a bounded request queue under a work-conserving policy (take
 //!   whatever is queued, up to a max batch size, and never wait for
 //!   more) and coalesce concurrent `next_item` requests from different
-//!   sessions into single batched [`InfluenceRecommender::next_items`]
-//!   calls, sharing one PIM cache per model snapshot;
+//!   sessions into single batched
+//!   [`InfluenceRecommender::next_items_into`] calls, sharing one PIM cache
+//!   per model snapshot;
 //! * [`SnapshotRegistry`] — atomically hot-swappable model snapshots
 //!   loaded from `IRSP` files through the architecture-checked
 //!   `ParamStore::load_parameters` path, so a running server picks up a
@@ -24,7 +25,11 @@
 //!   worker pool plus a single readiness poller multiplex every
 //!   connection (idle sessions cost a parked socket, not a thread), and
 //!   each worker's reusable [`RequestWorkspace`] makes the steady-state
-//!   request path allocation-free.
+//!   request path allocation-free;
+//! * one JSON grammar: the arena parser [`JsonSlab`] reads request bodies,
+//!   and [`JsonValue::parse`] is the same parser building an owned tree;
+//! * [`HttpClient`] — the one blocking HTTP/1.1 client that `serve_load`,
+//!   the serving bench and the HTTP tests drive the frontend with.
 //!
 //! ## Why micro-batching is safe
 //!
@@ -37,8 +42,9 @@
 //! random session mixes and arrival orders produce exactly the
 //! recommendations per-session scalar `next_item` calls produce.
 //!
-//! [`InfluenceRecommender::next_items`]: irs_core::InfluenceRecommender::next_items
+//! [`InfluenceRecommender::next_items_into`]: irs_core::InfluenceRecommender::next_items_into
 
+mod client;
 mod conn;
 mod http;
 mod json;
@@ -51,6 +57,7 @@ mod snapshot;
 mod split;
 mod workspace;
 
+pub use client::{HttpClient, HttpResponse};
 pub use http::{layout_name, HttpServer, ServerConfig, ServerHandle};
 pub use json::{
     write_json_num, write_json_str, JsonError, JsonRef, JsonSlab, JsonValue, MAX_DEPTH,

@@ -5,8 +5,8 @@
 //! policy — a worker blocks for the first request, takes whatever else
 //! is already queued (up to `max_batch`) and dispatches at once — and
 //! answer every request in the batch with a single
-//! [`InfluenceRecommender::next_items`] call against the current model
-//! snapshot.
+//! [`InfluenceRecommender::next_items_into`] call against the current
+//! model snapshot.
 //!
 //! A request is never held back waiting for co-travellers: a worker is
 //! idle only when the queue is empty.  Under load the queue refills while
@@ -30,7 +30,7 @@
 //! [`Engine::next_item`] entry point allocates a fresh slot per call and
 //! remains for tests and one-shot callers.
 //!
-//! [`InfluenceRecommender::next_items`]: irs_core::InfluenceRecommender::next_items
+//! [`InfluenceRecommender::next_items_into`]: irs_core::InfluenceRecommender::next_items_into
 
 use std::collections::VecDeque;
 use std::mem;

@@ -240,7 +240,9 @@ impl TrafficSplit {
 
     /// Replace the weights.  Rejects negative/non-finite entries, a
     /// zero-sum vector, or a wrong-length one; accepted weights are
-    /// normalised to sum 1 and returned.
+    /// normalised to sum 1 and returned.  They are divided by the largest
+    /// weight before summing, so finite weights whose sum would overflow
+    /// (`[1e308, 1e308]`) still normalise.
     pub fn set_weights(&self, weights: &[f64]) -> Result<[f64; NUM_ARMS], String> {
         if weights.len() != NUM_ARMS {
             return Err(format!("expected {NUM_ARMS} weights, got {}", weights.len()));
@@ -248,13 +250,14 @@ impl TrafficSplit {
         if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
             return Err("weights must be finite and non-negative".into());
         }
-        let sum: f64 = weights.iter().sum();
-        if sum <= 0.0 {
+        let max = weights.iter().copied().fold(0.0, f64::max);
+        if max <= 0.0 {
             return Err("weights must not all be zero".into());
         }
+        let sum: f64 = weights.iter().map(|w| w / max).sum();
         let mut normalised = [0.0; NUM_ARMS];
         for (slot, &w) in normalised.iter_mut().zip(weights) {
-            *slot = w / sum;
+            *slot = w / max / sum;
         }
         *self.weights.write() = normalised;
         Ok(normalised)
@@ -323,6 +326,14 @@ mod tests {
         let w = split.set_weights(&[1.0, 3.0]).unwrap();
         assert!((w[0] - 0.25).abs() < 1e-12 && (w[1] - 0.75).abs() < 1e-12);
         assert_eq!(split.weights(), w);
+        // The 50/50 split stays exact, and weights whose sum overflows
+        // still normalise to a vector summing to 1.
+        assert_eq!(split.set_weights(&[0.5, 0.5]).unwrap(), [0.5, 0.5]);
+        assert_eq!(split.set_weights(&[1e308, 1e308]).unwrap(), [0.5, 0.5]);
+        let w = split.set_weights(&[f64::MAX, 1.0]).unwrap();
+        assert_eq!(w[0], 1.0);
+        assert!(w[1] > 0.0 && w[1] < 1e-300, "{w:?}");
+        assert_eq!(w.iter().sum::<f64>(), 1.0);
     }
 
     #[test]

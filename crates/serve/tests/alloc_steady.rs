@@ -64,10 +64,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 // ------------------------------------------------------- stub model
 
-/// Allocation-free deterministic model: always proposes the objective.
-/// `next_items_into` is overridden because the trait's default
-/// (`out.extend(self.next_items(..))`) allocates a fresh `Vec` per
-/// batch — exactly what this test exists to catch.
+/// Allocation-free deterministic model: always proposes the objective,
+/// pushing each batch's answers straight into the scheduler's reused
+/// buffer — a fresh `Vec` per batch is exactly what this test exists to
+/// catch.
 struct EchoObjective;
 
 impl InfluenceRecommender for EchoObjective {

@@ -14,15 +14,14 @@
 //!   twice.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use irs_core::{InfluenceRecommender, NextQuery};
 use irs_data::ItemId;
 use irs_serve::{
-    BatchPolicy, Engine, HttpServer, JsonValue, ModelSnapshot, ServerConfig, SnapshotRegistry,
+    BatchPolicy, Engine, HttpClient, HttpResponse, HttpServer, JsonValue, ModelSnapshot,
+    ServerConfig, SnapshotRegistry,
 };
 
 /// Deterministic model: always proposes the objective.
@@ -50,33 +49,13 @@ impl InfluenceRecommender for EchoObjective {
     }
 }
 
-/// One connection-per-request round trip; returns (status, headers+body
-/// split at the blank line).
-fn request(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, String, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(
-        conn,
-        "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut response = String::new();
-    conn.read_to_string(&mut response).expect("read response");
-    let status: u16 =
-        response.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
-    let split = response.find("\r\n\r\n").expect("header/body split");
-    let (head, payload) = response.split_at(split + 4);
-    (status, head.to_string(), payload.to_string())
+/// One `Connection: close` round trip.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> HttpResponse {
+    HttpClient::new(addr, false).request(method, path, body).expect("HTTP request")
 }
 
 struct TestServer {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     engine: Arc<Engine>,
     thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
 }
@@ -108,36 +87,37 @@ impl TestServer {
     /// and latency series all have observations.
     fn drive_traffic(&self) {
         for user in 0..4usize {
-            let (status, _, created) = request(
+            let created = request(
                 self.addr,
                 "POST",
                 "/v1/session",
                 &format!("{{\"user\": {user}, \"history\": [1, 2], \"objective\": 5}}"),
             );
-            assert_eq!(status, 200, "create failed: {created}");
-            let sid = JsonValue::parse(&created)
+            assert_eq!(created.status, 200, "create failed: {}", created.body);
+            let sid = JsonValue::parse(&created.body)
                 .unwrap()
                 .get("session_id")
                 .and_then(JsonValue::as_usize)
                 .expect("session id");
-            let (status, _, next) =
-                request(self.addr, "POST", &format!("/v1/session/{sid}/next"), "");
-            assert_eq!(status, 200, "next failed: {next}");
-            let item =
-                JsonValue::parse(&next).unwrap().get("item").and_then(JsonValue::as_usize).unwrap();
-            let (status, _, fb) = request(
+            let next = request(self.addr, "POST", &format!("/v1/session/{sid}/next"), "");
+            assert_eq!(next.status, 200, "next failed: {}", next.body);
+            let item = JsonValue::parse(&next.body)
+                .unwrap()
+                .get("item")
+                .and_then(JsonValue::as_usize)
+                .unwrap();
+            let fb = request(
                 self.addr,
                 "POST",
                 &format!("/v1/session/{sid}/feedback"),
                 &format!("{{\"item\": {item}, \"accepted\": true}}"),
             );
-            assert_eq!(status, 200, "feedback failed: {fb}");
+            assert_eq!(fb.status, 200, "feedback failed: {}", fb.body);
         }
     }
 
     fn shutdown(mut self) {
-        let (status, _, _) = request(self.addr, "POST", "/v1/admin/shutdown", "");
-        assert_eq!(status, 200);
+        assert_eq!(request(self.addr, "POST", "/v1/admin/shutdown", "").status, 200);
         self.thread.take().unwrap().join().expect("server thread").expect("server run");
         self.engine.shutdown();
     }
@@ -185,19 +165,20 @@ fn stats_and_metrics_share_one_vocabulary_and_the_exposition_is_wellformed() {
     let server = TestServer::boot();
     server.drive_traffic();
 
-    let (status, _, stats_body) = request(server.addr, "GET", "/v1/stats", "");
-    assert_eq!(status, 200);
-    let (status, metrics_head, metrics_body) = request(server.addr, "GET", "/metrics", "");
-    assert_eq!(status, 200);
+    let stats = request(server.addr, "GET", "/v1/stats", "");
+    assert_eq!(stats.status, 200);
+    let metrics = request(server.addr, "GET", "/metrics", "");
+    assert_eq!(metrics.status, 200);
     assert!(
-        metrics_head.to_ascii_lowercase().contains("content-type: text/plain; version=0.0.4"),
-        "exposition content type missing: {metrics_head}"
+        metrics.content_type.to_ascii_lowercase().contains("text/plain; version=0.0.4"),
+        "exposition content type missing: {:?}",
+        metrics.content_type
     );
 
     // --- vocabulary: every flat stats key is a registry family.
-    let stats = JsonValue::parse(&stats_body).expect("stats JSON");
+    let stats = JsonValue::parse(&stats.body).expect("stats JSON");
     let JsonValue::Obj(entries) = &stats else { panic!("stats must be an object") };
-    let families = parse_exposition(&metrics_body);
+    let families = parse_exposition(&metrics.body);
     assert!(entries.len() >= 40, "suspiciously few stats keys: {}", entries.len());
     for (key, _) in entries {
         assert!(

@@ -5,8 +5,7 @@
 //! against the release `irs serve` binary; this test keeps the protocol
 //! pinned inside `cargo test`.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,31 +13,13 @@ use irs_core::{Irn, IrnConfig, NeuralTrainConfig};
 use irs_data::split::{split_dataset, SplitConfig};
 use irs_data::synth::{generate, SynthConfig};
 use irs_serve::{
-    BatchPolicy, Engine, HttpServer, IrnArchitecture, JsonValue, ServerConfig, SnapshotLoader,
-    SnapshotRegistry,
+    BatchPolicy, Engine, HttpClient, HttpServer, IrnArchitecture, JsonValue, ServerConfig,
+    SnapshotLoader, SnapshotRegistry,
 };
 
-/// One HTTP/1.1 request against `addr`; returns (status, parsed body).
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, JsonValue) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {response:?}"));
-    let payload = response.split("\r\n\r\n").nth(1).unwrap_or("");
-    let json =
-        JsonValue::parse(payload).unwrap_or_else(|e| panic!("bad JSON body {payload:?}: {e}"));
-    (status, json)
+/// One `Connection: close` round trip; returns (status, parsed body).
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, JsonValue) {
+    HttpClient::new(addr, false).json(method, path, body).expect("HTTP request")
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //!   (the pin taken with the query read keeps the give-up record safe
 //!   even when scoring outlasts several sweep intervals).
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::ErrorKind;
+use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -29,8 +29,8 @@ use irs_data::split::{split_dataset, SplitConfig};
 use irs_data::synth::{generate, SynthConfig};
 use irs_data::ItemId;
 use irs_serve::{
-    BatchPolicy, Engine, HttpServer, JsonValue, ModelSnapshot, ServerConfig, ServerHandle,
-    SnapshotRegistry,
+    BatchPolicy, Engine, HttpClient, HttpServer, JsonValue, ModelSnapshot, ServerConfig,
+    ServerHandle, SnapshotRegistry,
 };
 
 // ---------------------------------------------------------------- helpers
@@ -59,75 +59,6 @@ fn boot(
     let handle = server.handle().unwrap();
     let thread = std::thread::spawn(move || server.run());
     TestServer { addr, handle, engine, thread }
-}
-
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    stream
-}
-
-/// Read one Content-Length-framed response; leftover pipelined bytes
-/// stay in `carry`.  `Err(())` means the peer closed cleanly *at a
-/// response boundary* before sending anything.
-fn read_framed(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<(u16, Vec<u8>), ()> {
-    let mut chunk = [0u8; 2048];
-    let head_end = loop {
-        if let Some(pos) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::ConnectionReset => 0,
-            Err(e) => panic!("read error: {e}"),
-        };
-        if n == 0 {
-            assert!(carry.is_empty(), "peer closed mid-response: {carry:?}");
-            return Err(());
-        }
-        carry.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&carry[..head_end]).expect("ASCII head").to_string();
-    let status: u16 =
-        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
-    let content_length: usize = head
-        .lines()
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.trim().eq_ignore_ascii_case("content-length").then(|| value.trim())
-        })
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("response without Content-Length: {head:?}"));
-    while carry.len() < head_end + content_length {
-        let n = stream.read(&mut chunk).expect("read body");
-        assert!(n > 0, "peer closed mid-body");
-        carry.extend_from_slice(&chunk[..n]);
-    }
-    let body = carry[head_end..head_end + content_length].to_vec();
-    carry.drain(..head_end + content_length);
-    Ok((status, body))
-}
-
-/// One keep-alive request; panics on close (for flows that own the
-/// connection and expect it to live).
-fn request(
-    stream: &mut TcpStream,
-    carry: &mut Vec<u8>,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, JsonValue) {
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let (status, body) = read_framed(stream, carry).expect("keep-alive connection closed");
-    let json = JsonValue::parse(std::str::from_utf8(&body).expect("UTF-8 body"))
-        .unwrap_or_else(|e| panic!("bad JSON body: {e}"));
-    (status, json)
 }
 
 // ------------------------------------------- bitwise vs scalar reference
@@ -218,8 +149,7 @@ fn interleaved_keepalive_clients_match_the_scalar_reference_bitwise() {
             .map(|(user, history, objective)| {
                 let addr = server.addr;
                 scope.spawn(move || {
-                    let mut conn = connect(addr);
-                    let mut carry = Vec::new();
+                    let mut conn = HttpClient::new(addr, true);
                     let mut rounds = Vec::new();
                     for _ in 0..ROUNDS {
                         let hist: Vec<String> = history.iter().map(ToString::to_string).collect();
@@ -228,45 +158,36 @@ fn interleaved_keepalive_clients_match_the_scalar_reference_bitwise() {
                             hist.join(",")
                         );
                         let (status, created) =
-                            request(&mut conn, &mut carry, "POST", "/v1/session", &body);
+                            conn.json("POST", "/v1/session", &body).expect("create");
                         assert_eq!(status, 200, "create failed: {created}");
                         let sid = created
                             .get("session_id")
                             .and_then(JsonValue::as_usize)
                             .expect("session id");
                         loop {
-                            let (status, next) = request(
-                                &mut conn,
-                                &mut carry,
-                                "POST",
-                                &format!("/v1/session/{sid}/next"),
-                                "",
-                            );
+                            let (status, next) = conn
+                                .json("POST", &format!("/v1/session/{sid}/next"), "")
+                                .expect("next");
                             assert_eq!(status, 200, "next failed: {next}");
                             if next.get("done").and_then(JsonValue::as_bool) == Some(true) {
                                 break;
                             }
                             let item =
                                 next.get("item").and_then(JsonValue::as_usize).expect("item");
-                            let (status, fb) = request(
-                                &mut conn,
-                                &mut carry,
-                                "POST",
-                                &format!("/v1/session/{sid}/feedback"),
-                                &format!("{{\"item\": {item}, \"accepted\": true}}"),
-                            );
+                            let (status, fb) = conn
+                                .json(
+                                    "POST",
+                                    &format!("/v1/session/{sid}/feedback"),
+                                    &format!("{{\"item\": {item}, \"accepted\": true}}"),
+                                )
+                                .expect("feedback");
                             assert_eq!(status, 200, "feedback failed: {fb}");
                             if fb.get("done").and_then(JsonValue::as_bool) == Some(true) {
                                 break;
                             }
                         }
-                        let (status, outcome) = request(
-                            &mut conn,
-                            &mut carry,
-                            "DELETE",
-                            &format!("/v1/session/{sid}"),
-                            "",
-                        );
+                        let (status, outcome) =
+                            conn.json("DELETE", &format!("/v1/session/{sid}"), "").expect("delete");
                         assert_eq!(status, 200, "delete failed: {outcome}");
                         let accepted = outcome
                             .get("accepted")
@@ -301,8 +222,9 @@ fn interleaved_keepalive_clients_match_the_scalar_reference_bitwise() {
         }
     }
 
-    let (status, _) =
-        request(&mut connect(server.addr), &mut Vec::new(), "POST", "/v1/admin/shutdown", "");
+    let (status, _) = HttpClient::new(server.addr, true)
+        .json("POST", "/v1/admin/shutdown", "")
+        .expect("shutdown");
     assert_eq!(status, 200);
     server.thread.join().expect("server thread").expect("server run");
     server.engine.shutdown();
@@ -343,9 +265,8 @@ fn process_threads() -> usize {
 fn a_thousand_open_connections_do_not_mean_a_thousand_threads() {
     let server = boot(Box::new(StubModel), 8, ServerConfig::default());
     // Warm one request so every lazily spawned server thread exists.
-    let mut first = connect(server.addr);
-    let mut carry = Vec::new();
-    let (status, _) = request(&mut first, &mut carry, "GET", "/healthz", "");
+    let mut first = HttpClient::new(server.addr, true);
+    let (status, _) = first.json("GET", "/healthz", "").expect("healthz");
     assert_eq!(status, 200);
     #[cfg(target_os = "linux")]
     let baseline = process_threads();
@@ -354,15 +275,14 @@ fn a_thousand_open_connections_do_not_mean_a_thousand_threads() {
     // request; plus 1000 live sessions so the store is at scale too.
     let mut conns = Vec::with_capacity(1000);
     for i in 0..1000 {
-        let mut conn = connect(server.addr);
-        let mut carry = Vec::new();
-        let (status, _) = request(
-            &mut conn,
-            &mut carry,
-            "POST",
-            "/v1/session",
-            &format!("{{\"user\": {i}, \"history\": [], \"objective\": 1}}"),
-        );
+        let mut conn = HttpClient::new(server.addr, true);
+        let (status, _) = conn
+            .json(
+                "POST",
+                "/v1/session",
+                &format!("{{\"user\": {i}, \"history\": [], \"objective\": 1}}"),
+            )
+            .expect("create");
         assert_eq!(status, 200, "create #{i} failed");
         conns.push(conn);
     }
@@ -389,12 +309,11 @@ fn a_thousand_open_connections_do_not_mean_a_thousand_threads() {
     }
 
     // The connections still work after the census.
-    let mut carry = Vec::new();
-    let (status, _) = request(&mut conns[500], &mut carry, "GET", "/healthz", "");
+    let (status, _) = conns[500].json("GET", "/healthz", "").expect("healthz");
     assert_eq!(status, 200, "parked connection went stale");
 
     drop(conns);
-    let (status, _) = request(&mut first, &mut carry, "POST", "/v1/admin/shutdown", "");
+    let (status, _) = first.json("POST", "/v1/admin/shutdown", "").expect("shutdown");
     assert_eq!(status, 200);
     server.thread.join().expect("server thread").expect("server run");
     server.engine.shutdown();
@@ -413,25 +332,25 @@ fn graceful_shutdown_never_tears_a_response() {
             let stop = stop.clone();
             std::thread::spawn(move || {
                 let mut served = 0usize;
-                'reconnect: while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let mut conn = connect(addr);
-                    let mut carry = Vec::new();
-                    loop {
-                        if conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").is_err() {
-                            continue 'reconnect;
+                let mut conn = HttpClient::new(addr, true);
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    match conn.request("GET", "/healthz", "") {
+                        Ok(response) => {
+                            assert_eq!(response.status, 200);
+                            served += 1;
                         }
-                        // read_framed panics on a *torn* response; a clean
-                        // close at a boundary is Err(()) and ends the client.
-                        match read_framed(&mut conn, &mut carry) {
-                            Ok((status, _)) => {
-                                assert_eq!(status, 200);
-                                served += 1;
-                            }
-                            Err(()) => break 'reconnect,
-                        }
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            break 'reconnect;
-                        }
+                        // A clean close at a response boundary ends the
+                        // client.
+                        Err(e) if e.kind() == ErrorKind::ConnectionAborted => break,
+                        // The request write raced the close: reconnect.
+                        Err(e)
+                            if matches!(
+                                e.kind(),
+                                ErrorKind::BrokenPipe | ErrorKind::ConnectionReset
+                            ) => {}
+                        // A torn response (`UnexpectedEof`) or any other
+                        // failure.
+                        Err(e) => panic!("request failed: {e}"),
                     }
                 }
                 served
@@ -440,9 +359,8 @@ fn graceful_shutdown_never_tears_a_response() {
         .collect();
 
     std::thread::sleep(Duration::from_millis(150));
-    let mut conn = connect(addr);
-    let mut carry = Vec::new();
-    let (status, _) = request(&mut conn, &mut carry, "POST", "/v1/admin/shutdown", "");
+    let (status, _) =
+        HttpClient::new(addr, true).json("POST", "/v1/admin/shutdown", "").expect("shutdown");
     assert_eq!(status, 200, "shutdown request must itself be answered");
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
 
@@ -490,36 +408,30 @@ fn ttl_sweeper_never_evicts_a_session_with_a_request_in_flight() {
         8,
         ServerConfig { session_ttl: Some(Duration::from_millis(250)), ..Default::default() },
     );
-    let mut conn = connect(server.addr);
-    let mut carry = Vec::new();
-    let (status, created) = request(
-        &mut conn,
-        &mut carry,
-        "POST",
-        "/v1/session",
-        "{\"user\": 0, \"history\": [2], \"objective\": 1}",
-    );
+    let mut conn = HttpClient::new(server.addr, true);
+    let (status, created) = conn
+        .json("POST", "/v1/session", "{\"user\": 0, \"history\": [2], \"objective\": 1}")
+        .expect("create");
     assert_eq!(status, 200, "create failed: {created}");
     let sid = created.get("session_id").and_then(JsonValue::as_usize).expect("session id");
 
-    let (status, next) =
-        request(&mut conn, &mut carry, "POST", &format!("/v1/session/{sid}/next"), "");
+    let (status, next) = conn.json("POST", &format!("/v1/session/{sid}/next"), "").expect("next");
     assert_eq!(status, 200, "in-flight request failed: {next}");
     assert_eq!(next.get("done").and_then(JsonValue::as_bool), Some(true));
 
     // The give-up landed in a session that was never evicted: it is
     // still readable (freshly touched by the record) and reports done.
-    let (status, state) = request(&mut conn, &mut carry, "GET", &format!("/v1/session/{sid}"), "");
+    let (status, state) = conn.json("GET", &format!("/v1/session/{sid}"), "").expect("get");
     assert_eq!(status, 200, "session was evicted while its request was in flight");
     assert_eq!(state.get("done").and_then(JsonValue::as_bool), Some(true));
 
     // Left alone, the same session *is* swept — the pin protects
     // in-flight requests, it does not disable the TTL.
     std::thread::sleep(Duration::from_millis(1200));
-    let (status, _) = request(&mut conn, &mut carry, "GET", &format!("/v1/session/{sid}"), "");
+    let (status, _) = conn.json("GET", &format!("/v1/session/{sid}"), "").expect("get");
     assert_eq!(status, 404, "abandoned session must still age out");
 
-    let (status, _) = request(&mut conn, &mut carry, "POST", "/v1/admin/shutdown", "");
+    let (status, _) = conn.json("POST", "/v1/admin/shutdown", "").expect("shutdown");
     assert_eq!(status, 200);
     server.thread.join().expect("server thread").expect("server run");
     server.engine.shutdown();

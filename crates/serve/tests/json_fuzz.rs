@@ -1,25 +1,25 @@
-//! Property/fuzz suite for `irs_serve`'s two JSON parsers.
+//! Property/fuzz suite for `irs_serve`'s JSON grammar.
 //!
-//! The serving crate carries a DOM parser ([`JsonValue::parse`], used by
-//! clients and tests) and an arena parser ([`JsonSlab::parse`], the
-//! allocation-free request path).  Both implement the same grammar, so
-//! this suite pins them against each other three ways:
+//! The serving crate has one parser, the arena parser
+//! ([`JsonSlab::parse`], the allocation-free request path);
+//! [`JsonValue::parse`] is that parser building an owned tree.  It has
+//! one serialiser too: `JsonValue`'s `Display` goes through the direct
+//! writers the response handlers use.  This suite pins them three ways:
 //!
-//! * **round-trip** — random documents survive serialise → parse bitwise
-//!   through both parsers;
-//! * **direct writers** — `write_json_str` / `write_json_num` (the
-//!   zero-allocation response serialisers) agree with the DOM's
-//!   `Display` output;
+//! * **round-trip** — random documents survive serialise → parse bitwise,
+//!   through a fresh slab and through one reused slab;
 //! * **mutation corpus** — truncations, byte flips, random splices,
 //!   invalid UTF-8, pathological nesting and huge numbers must all
-//!   return `Err` or a valid value, never panic, hang or over-read, and
-//!   the two parsers must agree verdict-for-verdict on every UTF-8
-//!   input.
+//!   return `Err` or a valid value, never panic, hang or over-read; an
+//!   accepted document is a fixed point: it re-serialises and re-parses
+//!   to an equal value;
+//! * **adversarial corpus** — hand-written inputs the grammar must reject,
+//!   plus the depth bound, huge numbers and lone surrogates.
 //!
 //! The generator is a seeded xorshift so every failure reproduces
 //! exactly; no external fuzzing engine is involved.
 
-use irs_serve::{write_json_num, write_json_str, JsonSlab, JsonValue, MAX_DEPTH};
+use irs_serve::{JsonSlab, JsonValue, MAX_DEPTH};
 
 /// Tiny deterministic RNG (xorshift64*) so the corpus is stable across
 /// runs and failures replay from the seed alone.
@@ -59,7 +59,7 @@ fn gen_number(rng: &mut Rng) -> f64 {
     match rng.below(5) {
         0 => rng.below(1000) as f64,
         1 => -(rng.below(1000) as f64),
-        // Integers near the i64-rendering boundary of the serialisers.
+        // Integers near the i64-rendering boundary of the serialiser.
         2 => (rng.next() % 9_007_199_254_740_992) as f64,
         3 => rng.next() as f64 / u64::MAX as f64 * 2e3 - 1e3,
         // Random finite bit patterns, extremes included.
@@ -89,79 +89,61 @@ fn gen_value(rng: &mut Rng, depth: usize) -> JsonValue {
 }
 
 #[test]
-fn random_documents_round_trip_through_both_parsers() {
+fn random_documents_round_trip_through_fresh_and_reused_slabs() {
     let mut rng = Rng::new(0xf022_51a7);
     let mut slab = JsonSlab::new();
     for case in 0..400 {
         let value = gen_value(&mut rng, 0);
         let text = value.to_string();
-        let dom = JsonValue::parse(&text)
-            .unwrap_or_else(|e| panic!("case {case}: DOM rejected own output {text:?}: {e}"));
-        assert_eq!(dom, value, "case {case}: DOM round-trip changed {text:?}");
-        let arena = slab
+        let fresh = JsonValue::parse(&text)
+            .unwrap_or_else(|e| panic!("case {case}: rejected own output {text:?}: {e}"));
+        assert_eq!(fresh, value, "case {case}: round-trip changed {text:?}");
+        let reused = slab
             .parse(text.as_bytes())
-            .unwrap_or_else(|e| panic!("case {case}: slab rejected {text:?}: {e}"))
+            .unwrap_or_else(|e| panic!("case {case}: reused slab rejected {text:?}: {e}"))
             .to_value();
-        assert_eq!(arena, value, "case {case}: slab round-trip changed {text:?}");
+        assert_eq!(reused, value, "case {case}: reused-slab round-trip changed {text:?}");
     }
+}
+
+/// Whether every number in `value` is finite.  A number beyond the `f64`
+/// range parses to ±infinity, and the serialiser renders that as `inf`,
+/// which is not JSON, so such a value has no text to round-trip through.
+fn all_finite(value: &JsonValue) -> bool {
+    match value {
+        JsonValue::Num(n) => n.is_finite(),
+        JsonValue::Arr(items) => items.iter().all(all_finite),
+        JsonValue::Obj(fields) => fields.iter().all(|(_, v)| all_finite(v)),
+        _ => true,
+    }
+}
+
+/// Parse `bytes`; when it is accepted, assert it was valid UTF-8 and, for
+/// a value with finite numbers, that it is a fixed point: it
+/// re-serialises and re-parses to an equal value.  Returns whether the
+/// fixed point was checked.  Panics fail the test naturally.
+fn assert_fixed_point(bytes: &[u8], slab: &mut JsonSlab, context: &str) -> bool {
+    let Ok(value) = slab.parse(bytes).map(|r| r.to_value()) else {
+        return false;
+    };
+    // Invalid UTF-8 can only hide inside strings (every other token is
+    // ASCII), where the slab validates and rejects it.
+    assert!(std::str::from_utf8(bytes).is_ok(), "{context}: accepted invalid UTF-8 {bytes:?}");
+    if !all_finite(&value) {
+        return false;
+    }
+    let text = value.to_string();
+    let again = JsonValue::parse(&text)
+        .unwrap_or_else(|e| panic!("{context}: rejected its own output {text:?}: {e}"));
+    assert_eq!(again, value, "{context}: serialise → parse changed {text:?}");
+    true
 }
 
 #[test]
-fn direct_writers_agree_with_the_dom_serialiser() {
-    let mut rng = Rng::new(0xd1ec_7a11);
-    let mut out = Vec::new();
-    for _ in 0..400 {
-        out.clear();
-        let s = gen_string(&mut rng);
-        write_json_str(&mut out, &s);
-        assert_eq!(
-            String::from_utf8(out.clone()).unwrap(),
-            JsonValue::Str(s.clone()).to_string(),
-            "write_json_str diverged for {s:?}"
-        );
-        out.clear();
-        let n = gen_number(&mut rng);
-        write_json_num(&mut out, n);
-        assert_eq!(
-            String::from_utf8(out.clone()).unwrap(),
-            JsonValue::Num(n).to_string(),
-            "write_json_num diverged for {n:?}"
-        );
-    }
-}
-
-/// Parse `bytes` with both parsers and assert they agree: same Ok/Err
-/// verdict and, on Ok, the same value.  The DOM parser only sees UTF-8
-/// inputs (its signature takes `&str`); the slab must reject invalid
-/// UTF-8 on its own.  Panics from either parser fail the test naturally.
-fn assert_parsers_agree(bytes: &[u8], slab: &mut JsonSlab, context: &str) {
-    let arena = slab.parse(bytes).map(|r| r.to_value());
-    match std::str::from_utf8(bytes) {
-        Ok(text) => {
-            let dom = JsonValue::parse(text);
-            match (&arena, &dom) {
-                (Ok(a), Ok(d)) => assert_eq!(a, d, "{context}: values diverged for {text:?}"),
-                (Err(_), Err(_)) => {}
-                _ => panic!(
-                    "{context}: verdicts diverged for {text:?}: slab {:?} vs dom {:?}",
-                    arena.as_ref().map(|_| "Ok"),
-                    dom.as_ref().map(|_| "Ok"),
-                ),
-            }
-        }
-        Err(_) => {
-            // Invalid UTF-8 can only hide inside strings (every other
-            // token is ASCII), where the slab validates and rejects it —
-            // a non-UTF-8 document must never parse to a value.
-            assert!(arena.is_err(), "{context}: slab accepted invalid UTF-8 {bytes:?}");
-        }
-    }
-}
-
-#[test]
-fn mutated_documents_never_panic_and_parsers_agree() {
+fn mutated_documents_never_panic_and_accepted_ones_are_fixed_points() {
     let mut rng = Rng::new(0xbad5_eed5);
     let mut slab = JsonSlab::new();
+    let mut fixed_points = 0;
     for case in 0..600 {
         let mut bytes = gen_value(&mut rng, 0).to_string().into_bytes();
         for _ in 0..1 + rng.below(3) {
@@ -204,8 +186,11 @@ fn mutated_documents_never_panic_and_parsers_agree() {
                 }
             }
         }
-        assert_parsers_agree(&bytes, &mut slab, &format!("mutation case {case}"));
+        fixed_points +=
+            usize::from(assert_fixed_point(&bytes, &mut slab, &format!("mutation case {case}")));
     }
+    // 51 of the 600 mutants are accepted with finite numbers at this seed.
+    assert!(fixed_points >= 40, "only {fixed_points} of 600 mutated documents were checked");
 }
 
 #[test]
@@ -257,12 +242,14 @@ fn handcrafted_adversarial_corpus_is_handled_without_panic() {
         b"\"\xff\"",
         b"\"a\xc0\xafb\"",
         b"{\"\xf0\x28\x8c\x28\":1}",
+        // Raw control characters inside strings (RFC 8259 §7).
+        b"\"a\nb\"",
+        b"\"\t\"",
+        b"\"\x00\"",
+        b"{\"label\":\"x\x1fy\"}",
     ];
     for input in must_reject {
-        assert!(slab.parse(input).is_err(), "slab accepted adversarial input {input:?}");
-        if let Ok(text) = std::str::from_utf8(input) {
-            assert!(JsonValue::parse(text).is_err(), "DOM accepted adversarial input {text:?}");
-        }
+        assert!(slab.parse(input).is_err(), "accepted adversarial input {input:?}");
     }
     // Nesting at the depth bound parses; one level beyond is rejected
     // (by the explicit bound — not a stack overflow).  The innermost
@@ -270,29 +257,26 @@ fn handcrafted_adversarial_corpus_is_handled_without_panic() {
     // depth > MAX_DEPTH, so MAX_DEPTH+1 brackets is the last accepted.
     let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
     assert!(slab.parse(at_limit.as_bytes()).is_ok());
-    assert!(JsonValue::parse(&at_limit).is_ok());
     let beyond = format!("{}{}", "[".repeat(MAX_DEPTH + 2), "]".repeat(MAX_DEPTH + 2));
     assert!(slab.parse(beyond.as_bytes()).is_err());
-    assert!(JsonValue::parse(&beyond).is_err());
     // Unclosed pathological nesting (the classic parser-killer) errors
     // out at the depth bound instead of recursing to a crash.
     let unclosed = "[".repeat(100_000);
     assert!(slab.parse(unclosed.as_bytes()).is_err());
-    assert!(JsonValue::parse(&unclosed).is_err());
     let mixed = "{\"k\":[".repeat(50_000);
     assert!(slab.parse(mixed.as_bytes()).is_err());
-    assert!(JsonValue::parse(&mixed).is_err());
-    // Huge numbers saturate to f64 infinity (std's parse semantics) in
-    // *both* parsers rather than erroring or hanging.
-    for huge in ["1e309", "-1e309", &"9".repeat(400)] {
-        let dom = JsonValue::parse(huge).unwrap();
-        let arena = slab.parse(huge.as_bytes()).unwrap().to_value();
-        assert_eq!(dom, arena, "huge-number verdicts diverged for {huge}");
+    // Huge numbers saturate to f64 infinity (std's parse semantics)
+    // rather than erroring or hanging.
+    let nines = "9".repeat(400);
+    for (huge, inf) in
+        [("1e309", f64::INFINITY), ("-1e309", f64::NEG_INFINITY), (&nines, f64::INFINITY)]
+    {
+        assert_eq!(JsonValue::parse(huge).unwrap(), JsonValue::Num(inf), "{huge}");
     }
-    // Lone surrogates decode to U+FFFD identically in both parsers.
+    // Lone surrogates decode to U+FFFD.
     let surrogate = "\"\\ud800 and \\udfff\"";
     assert_eq!(
-        JsonValue::parse(surrogate).unwrap(),
-        slab.parse(surrogate.as_bytes()).unwrap().to_value()
+        slab.parse(surrogate.as_bytes()).unwrap().to_value(),
+        JsonValue::from("\u{fffd} and \u{fffd}")
     );
 }

@@ -3,7 +3,7 @@
 //! recommendations to per-session scalar `next_item` calls.
 //!
 //! This extends the PR 2 property tests (score_next_batch ≡ score_next,
-//! next_items ≡ next_item) up through the serving stack: the dynamic
+//! next_items_into ≡ next_item) up through the serving stack: the dynamic
 //! micro-batching scheduler regroups concurrent requests by arrival
 //! timing, so batch *composition* is nondeterministic — these tests
 //! assert that composition never leaks into the answers.  Item ids are

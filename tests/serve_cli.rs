@@ -6,11 +6,12 @@
 //! This is the same dance the CI server-smoke step performs with curl;
 //! running it inside `cargo test` keeps the protocol pinned by tier-1.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::time::Duration;
+
+use irs_serve::{HttpClient, JsonValue};
 
 fn fixture(name: &str) -> String {
     let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "fixtures", name].iter().collect();
@@ -46,28 +47,10 @@ fn train_fixture_model() -> PathBuf {
     model
 }
 
-/// Minimal HTTP client: one request, parsed status + raw body.
-fn request(port: u16, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect to irs serve");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status: u16 = response.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    let payload = response.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-    (status, payload)
-}
-
-fn json_usize(body: &str, key: &str) -> Option<usize> {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker)? + marker.len();
-    let rest: String = body[at..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    rest.parse().ok()
+/// One `Connection: close` round trip; returns (status, parsed body).
+fn request(port: u16, method: &str, path: &str, body: &str) -> (u16, JsonValue) {
+    let addr = SocketAddr::from(([127, 0, 0, 1], port));
+    HttpClient::new(addr, false).json(method, path, body).expect("request to irs serve")
 }
 
 #[test]
@@ -111,7 +94,7 @@ fn train_then_serve_with_hot_swap_over_tcp() {
 
     let (status, health) = request(port, "GET", "/healthz", "");
     assert_eq!(status, 200, "healthz: {health}");
-    assert_eq!(json_usize(&health, "version"), Some(1));
+    assert_eq!(health.get("version").and_then(JsonValue::as_usize), Some(1));
 
     // Session protocol: create → next → accept feedback.
     let (status, created) = request(
@@ -121,11 +104,11 @@ fn train_then_serve_with_hot_swap_over_tcp() {
         "{\"user\": 0, \"history\": [0, 1, 2], \"objective\": 7, \"max_len\": 3}",
     );
     assert_eq!(status, 200, "create: {created}");
-    let sid = json_usize(&created, "session_id").expect("session id");
+    let sid = created.get("session_id").and_then(JsonValue::as_usize).expect("session id");
 
     let (status, next) = request(port, "POST", &format!("/v1/session/{sid}/next"), "");
     assert_eq!(status, 200, "next: {next}");
-    let item = json_usize(&next, "item").expect("proposed item");
+    let item = next.get("item").and_then(JsonValue::as_usize).expect("proposed item");
     let (status, fb) = request(
         port,
         "POST",
@@ -142,7 +125,7 @@ fn train_then_serve_with_hot_swap_over_tcp() {
         &format!("{{\"path\": \"{}\"}}", model.to_str().unwrap()),
     );
     assert_eq!(status, 200, "swap: {swap}");
-    assert_eq!(json_usize(&swap, "version"), Some(2));
+    assert_eq!(swap.get("version").and_then(JsonValue::as_usize), Some(2));
     let (status, next2) = request(port, "POST", &format!("/v1/session/{sid}/next"), "");
     assert_eq!(status, 200, "next after swap: {next2}");
 
@@ -159,8 +142,8 @@ fn train_then_serve_with_hot_swap_over_tcp() {
 
     let (status, stats) = request(port, "GET", "/v1/stats", "");
     assert_eq!(status, 200);
-    assert!(json_usize(&stats, "requests").unwrap() >= 2, "stats: {stats}");
-    assert_eq!(json_usize(&stats, "snapshot_version"), Some(2));
+    assert!(stats.get("requests").and_then(JsonValue::as_usize).unwrap() >= 2, "stats: {stats}");
+    assert_eq!(stats.get("snapshot_version").and_then(JsonValue::as_usize), Some(2));
 
     // Clean shutdown: 200 on the route, exit code 0 from the process.
     let (status, _) = request(port, "POST", "/v1/admin/shutdown", "");
