@@ -66,44 +66,49 @@ pub fn evaluate_paths<S: SequentialScorer>(
 ) -> IrsMetrics {
     assert!(!paths.is_empty(), "no paths to evaluate");
 
-    // Assemble every evaluator query up front — per path: the objective
-    // against `history` and `history ⊕ path` (IoI and IoR share one scores
-    // row each), plus one query per path step (log-PPL) — then answer them
-    // through the batched scorer in bounded chunks.
+    // One evaluator row per distinct context.  A path of length n reads
+    // the n + 1 contexts `history ⊕ path[..j]`, j = 0..=n: row j gives the
+    // log-prob of `path[j]` (a log-PPL step, j < n), and rows 0 and n the
+    // objective's log-prob and rank before and after the path (IoI, IoR)
+    // — one row for an empty path.
     let mut q_users: Vec<UserId> = Vec::new();
     let mut q_ctxs: Vec<Vec<ItemId>> = Vec::new();
-    let mut q_items: Vec<ItemId> = Vec::new();
+    let mut q_rows: Vec<RowQuery> = Vec::new();
     for rec in paths {
-        let mut full = rec.history.clone();
-        full.extend_from_slice(&rec.path);
-        q_users.push(rec.user);
-        q_ctxs.push(rec.history.clone());
-        q_items.push(rec.objective);
-        q_users.push(rec.user);
-        q_ctxs.push(full);
-        q_items.push(rec.objective);
         let mut ctx = rec.history.clone();
-        for &item in &rec.path {
+        for j in 0..=rec.path.len() {
+            let step = rec.path.get(j).copied();
             q_users.push(rec.user);
             q_ctxs.push(ctx.clone());
-            q_items.push(item);
-            ctx.push(item);
+            q_rows.push(RowQuery {
+                objective: rec.objective,
+                needs_rank: j == 0 || step.is_none(),
+                step,
+            });
+            ctx.extend(step);
         }
     }
 
-    // Chunked batch answers: (log-prob, rank) per query row.  The chunk
-    // bound caps transient activation memory at ~chunk × catalogue floats.
+    // Chunked batch answers, one per row.  The chunk bound caps transient
+    // activation memory at ~chunk × catalogue floats.
     const CHUNK: usize = 64;
-    let mut lps: Vec<f64> = Vec::with_capacity(q_users.len());
-    let mut ranks: Vec<f64> = Vec::with_capacity(q_users.len());
-    for start in (0..q_users.len()).step_by(CHUNK) {
-        let end = (start + CHUNK).min(q_users.len());
+    let mut answers: Vec<RowAnswer> = Vec::with_capacity(q_rows.len());
+    for start in (0..q_rows.len()).step_by(CHUNK) {
+        let end = (start + CHUNK).min(q_rows.len());
         let refs: Vec<&[ItemId]> = q_ctxs[start..end].iter().map(Vec::as_slice).collect();
-        for (scores, &item) in
-            evaluator.scores_batch(&q_users[start..end], &refs).iter().zip(&q_items[start..end])
+        for (scores, q) in
+            evaluator.scores_batch(&q_users[start..end], &refs).iter().zip(&q_rows[start..end])
         {
-            lps.push((scores[item] - irs_tensor::log_sum_exp(scores)) as f64);
-            ranks.push(irs_baselines::rank_of(scores, item) as f64);
+            let lse = irs_tensor::log_sum_exp(scores);
+            answers.push(RowAnswer {
+                objective_lp: (scores[q.objective] - lse) as f64,
+                objective_rank: if q.needs_rank {
+                    irs_baselines::rank_of(scores, q.objective) as f64
+                } else {
+                    f64::NAN
+                },
+                step_lp: q.step.map_or(f64::NAN, |item| (scores[item] - lse) as f64),
+            });
         }
     }
 
@@ -112,23 +117,23 @@ pub fn evaluate_paths<S: SequentialScorer>(
     let mut ior = 0.0f64;
     let mut log_ppl = 0.0f64;
     let mut ppl_count = 0usize;
-    let mut cursor = 0usize;
+    let mut rows = answers.as_slice();
     for rec in paths {
         if rec.success() {
             sr += 1.0;
         }
-        let (before, after) = (cursor, cursor + 1);
-        cursor += 2;
-        ioi += lps[after] - lps[before];
-        ior += ranks[before] - ranks[after]; // −(R_after − R_before)
+        let (own, rest) = rows.split_at(rec.path.len() + 1);
+        rows = rest;
+        let (before, after) = (&own[0], &own[rec.path.len()]);
+        ioi += after.objective_lp - before.objective_lp;
+        ior += before.objective_rank - after.objective_rank; // −(R_after − R_before)
         if !rec.path.is_empty() {
-            let acc: f64 = lps[cursor..cursor + rec.path.len()].iter().sum();
+            let acc: f64 = own[..rec.path.len()].iter().map(|r| r.step_lp).sum();
             log_ppl += -acc / rec.path.len() as f64;
             ppl_count += 1;
         }
-        cursor += rec.path.len();
     }
-    debug_assert_eq!(cursor, lps.len(), "query/answer bookkeeping out of sync");
+    debug_assert!(rows.is_empty(), "query/answer bookkeeping out of sync");
 
     let n = paths.len() as f64;
     IrsMetrics {
@@ -138,6 +143,22 @@ pub fn evaluate_paths<S: SequentialScorer>(
         log_ppl: if ppl_count > 0 { log_ppl / ppl_count as f64 } else { f64::NAN },
         count: paths.len(),
     }
+}
+
+/// What `evaluate_paths` reads from one evaluator row.
+struct RowQuery {
+    objective: ItemId,
+    /// Whether the objective's rank is read (a path's first or last row).
+    needs_rank: bool,
+    /// The path item this row's context precedes, if any.
+    step: Option<ItemId>,
+}
+
+/// One evaluator row's answers to its [`RowQuery`] (`NaN` where not asked).
+struct RowAnswer {
+    objective_lp: f64,
+    objective_rank: f64,
+    step_lp: f64,
 }
 
 /// Next-item ranking metrics (Eq. 18, plus NDCG@K).
@@ -192,6 +213,7 @@ pub fn next_item_metrics<S: SequentialScorer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     /// Evaluator whose scores strongly prefer `seq.last() + 1`.
     struct ChainScorer {
@@ -263,6 +285,59 @@ mod tests {
         assert_eq!(m.sr, 0.0);
         assert!(m.ioi.abs() < 1e-9);
         assert!(m.log_ppl.is_nan());
+    }
+
+    /// `ChainScorer` that counts the rows it scores.
+    struct Counting {
+        inner: ChainScorer,
+        rows: Cell<usize>,
+    }
+
+    impl SequentialScorer for Counting {
+        fn num_items(&self) -> usize {
+            self.inner.n
+        }
+        fn score(&self, u: UserId, h: &[ItemId]) -> Vec<f32> {
+            self.rows.set(self.rows.get() + 1);
+            self.inner.score(u, h)
+        }
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    #[test]
+    fn each_context_is_scored_once_and_metrics_match_row_by_row() {
+        let ev = Evaluator::new(Counting { inner: ChainScorer { n: 10 }, rows: Cell::new(0) });
+        let paths = vec![
+            record(vec![0], 3, vec![1, 2, 3]),
+            record(vec![4, 2], 7, vec![]),
+            record(vec![5], 9, vec![8, 6]),
+        ];
+        let m = evaluate_paths(&ev, &paths);
+        // |path| + 1 rows per path.
+        assert_eq!(ev.scorer().rows.get(), 4 + 1 + 3);
+
+        // Eq. 12–14 row by row through the scalar accessors.
+        let (mut ioi, mut ior, mut log_ppl, mut ppl_count) = (0.0f64, 0.0f64, 0.0f64, 0);
+        for rec in &paths {
+            let (h, obj) = (&rec.history, rec.objective);
+            let full = [h.as_slice(), &rec.path].concat();
+            ioi += ev.log_prob(0, &full, obj) as f64 - ev.log_prob(0, h, obj) as f64;
+            ior += ev.rank(0, h, obj) as f64 - ev.rank(0, &full, obj) as f64;
+            if !rec.path.is_empty() {
+                let acc: f64 = (0..rec.path.len())
+                    .map(|k| ev.log_prob(0, &full[..h.len() + k], rec.path[k]) as f64)
+                    .sum();
+                log_ppl += -acc / rec.path.len() as f64;
+                ppl_count += 1;
+            }
+        }
+        let n = paths.len() as f64;
+        let expected = [1.0 / n, ioi / n, ior / n, log_ppl / ppl_count as f64];
+        for (got, want) in [m.sr, m.ioi, m.ior, m.log_ppl].into_iter().zip(expected) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        }
     }
 
     #[test]

@@ -162,11 +162,14 @@ impl GruCell {
         scratch.uh_out.iter_mut().for_each(|v| *v = 0.0);
         let u_h = store.value(self.uh.weight_id());
         matmul_into(&scratch.rh, u_h.data(), &mut scratch.uh_out, b, hd, hd);
-        for bi in 0..b {
-            for j in 0..hd {
-                let idx = bi * hd + j;
-                let h_cand = (gx_t[bi * 3 * hd + 2 * hd + j] + scratch.uh_out[idx]).tanh();
-                h[idx] += scratch.z[idx] * (h_cand - h[idx]);
+        // Zipped rows, so the loop runs `tanh` in SIMD lanes.
+        let rows = h.chunks_exact_mut(hd).zip(gx_t.chunks_exact(3 * hd));
+        for (bi, (hrow, gx)) in rows.enumerate() {
+            let zrow = &scratch.z[bi * hd..(bi + 1) * hd];
+            let urow = &scratch.uh_out[bi * hd..(bi + 1) * hd];
+            for (((hv, &g), &u), &z) in hrow.iter_mut().zip(&gx[2 * hd..]).zip(urow).zip(zrow) {
+                let h_cand = irs_tensor::tanh(g + u);
+                *hv += z * (h_cand - *hv);
             }
         }
     }

@@ -87,16 +87,14 @@ impl Activation {
         }
     }
 
-    /// In-place value-level apply (inference path); identical formulas to
-    /// the graph ops, including the tanh-approximated GELU constants.
+    /// In-place value-level apply (inference path): the graph ops'
+    /// elementwise functions, so both agree bit for bit.
     pub fn apply_in_place(self, x: &mut irs_tensor::Tensor) {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi), as in Var::gelu
-        for v in x.data_mut() {
-            *v = match self {
-                Activation::Relu => v.max(0.0),
-                Activation::Gelu => 0.5 * *v * (1.0 + (C * (*v + 0.044715 * *v * *v * *v)).tanh()),
-                Activation::Tanh => v.tanh(),
-            };
+        let data = x.data_mut();
+        match self {
+            Activation::Relu => data.iter_mut().for_each(|v| *v = v.max(0.0)),
+            Activation::Gelu => data.iter_mut().for_each(|v| *v = irs_tensor::gelu(*v).0),
+            Activation::Tanh => data.iter_mut().for_each(|v| *v = irs_tensor::tanh(*v)),
         }
     }
 }
@@ -203,6 +201,37 @@ mod tests {
         let x = g.constant(Tensor::from_vec(vec![-1.0, 1.0], &[2]));
         assert_eq!(Activation::Relu.apply(x).value().data(), &[0.0, 1.0]);
         let t = Activation::Tanh.apply(x).value();
-        assert!((t.data()[1] - 1f32.tanh()).abs() < 1e-6);
+        assert_eq!(t.data()[1].to_bits(), irs_tensor::tanh(1.0).to_bits());
+    }
+
+    #[test]
+    fn apply_in_place_matches_graph_apply_bitwise() {
+        let mut xs = vec![
+            0.0f32,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x0040_0000),
+            f32::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            22.0,
+            -22.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        xs.extend(Tensor::rand_uniform(&[512], -30.0, 30.0, &mut rng).data());
+        let x = Tensor::from_vec(xs.clone(), &[xs.len()]);
+        for act in [Activation::Relu, Activation::Gelu, Activation::Tanh] {
+            let g = Graph::new();
+            let graph = act.apply(g.constant(x.clone())).value();
+            let mut in_place = x.clone();
+            act.apply_in_place(&mut in_place);
+            for ((a, b), &v) in graph.data().iter().zip(in_place.data()).zip(&xs) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{act:?} at {v:e}: {a:e} vs {b:e}");
+            }
+        }
     }
 }

@@ -17,6 +17,8 @@
 //!   and accumulates gradients.
 //! * [`gradcheck`] — a finite-difference gradient checker used throughout
 //!   the test-suites to validate every backward implementation.
+//! * [`tanh`] / [`gelu`] — `tanh` bit for bit as fdlibm computes it, but
+//!   branch-free so elementwise loops over it vectorise, and GELU on it.
 //!
 //! ## Example
 //!
@@ -42,6 +44,7 @@
 //! batching) is a design requirement for the paper-reproduction
 //! experiments.
 
+mod activation;
 pub mod gradcheck;
 mod graph;
 mod nnops;
@@ -49,6 +52,7 @@ mod ops;
 mod shapeops;
 mod tensor;
 
+pub use activation::{gelu, tanh};
 pub use graph::{BackwardCtx, Graph, Var, VarId};
 pub use tensor::{
     gemm, matmul_into, matmul_into_packed, matmul_into_plain, set_kernel_threads, BatchLayout,

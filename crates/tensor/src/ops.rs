@@ -592,12 +592,12 @@ impl<'g> Var<'g> {
         })
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`crate::tanh`]).
     pub fn tanh(self) -> Var<'g> {
         let v = self.graph.with_value(self, |a| {
             let mut out = self.graph.alloc_out(a.shape());
             for (o, &x) in out.data_mut().iter_mut().zip(a.data()) {
-                *o = x.tanh();
+                *o = crate::tanh(x);
             }
             out
         });
@@ -611,23 +611,21 @@ impl<'g> Var<'g> {
         })
     }
 
-    /// Gaussian error linear unit (tanh approximation, as used by
-    /// transformer implementations).
+    /// Gaussian error linear unit in its tanh form ([`crate::gelu`]), as
+    /// transformer implementations use it.
     ///
-    /// `tanh` dominates a transformer training step's elementwise cost
-    /// (half the profile), so the forward caches its tanh values and the
-    /// backward reuses them instead of recomputing — same values, half
-    /// the `tanh` calls per step.
+    /// The forward caches the inner `tanh` of every element and the
+    /// backward reuses it instead of recomputing — same values, half the
+    /// `tanh` work per step.  The repo's branch-free [`crate::tanh`] lets
+    /// the forward loop run in SIMD lanes.
     pub fn gelu(self) -> Var<'g> {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
         let (v, tcache) = self.graph.with_value(self, |a| {
             let mut out = self.graph.alloc_out(a.shape());
             let mut tc = self.graph.alloc_out(a.shape());
             for ((o, t), &x) in
                 out.data_mut().iter_mut().zip(tc.data_mut().iter_mut()).zip(a.data())
             {
-                *t = (C * (x + 0.044715 * x * x * x)).tanh();
-                *o = 0.5 * x * (1.0 + *t);
+                (*o, *t) = crate::gelu(x);
             }
             (out, tc)
         });
@@ -643,9 +641,7 @@ impl<'g> Var<'g> {
             for (((o, &g), &xi), &t) in
                 dx.data_mut().iter_mut().zip(go.data()).zip(x.data()).zip(tc.data())
             {
-                let dinner = C * (1.0 + 3.0 * 0.044715 * xi * xi);
-                let dgelu = 0.5 * (1.0 + t) + 0.5 * xi * (1.0 - t * t) * dinner;
-                *o += g * dgelu;
+                *o += g * crate::activation::gelu_grad(xi, t);
             }
         })
     }
