@@ -5,8 +5,8 @@
 use irs_data::split::{pad_to, PaddingScheme, SubSeq};
 use irs_data::{pad_token, ItemId, UserId};
 use irs_nn::{
-    key_padding_mask, Adam, AttnBias, Embedding, FwdCtx, InferBias, Linear, Optimizer, ParamStore,
-    PositionalEncoding, TransformerBlock,
+    infer_stack, key_padding_mask, Adam, AttnBias, Embedding, FwdCtx, InferBias, Linear, Optimizer,
+    ParamStore, PositionalEncoding, TransformerBlock,
 };
 use irs_tensor::Graph;
 use rand::{Rng, SeedableRng};
@@ -288,15 +288,7 @@ impl SequentialScorer for Bert4Rec {
         let bias = InferBias { base: key_padding_mask(t, &pad_lens), scaled_column: None };
         let mut h = self.emb.infer_lookup_seq(&self.store, &padded);
         self.pos.infer_add_in_place(&self.store, &mut h);
-        let last = match self.blocks.split_last() {
-            Some((final_block, earlier)) => {
-                for block in earlier {
-                    h = block.infer(&self.store, &h, &bias);
-                }
-                final_block.infer_last_query(&self.store, &h, &bias, t - 1)
-            }
-            None => h.select_step(t - 1),
-        };
+        let last = infer_stack(&self.blocks, &self.store, h, &bias, t - 1);
         let logits = self.out.infer(&self.store, &last);
         let vocab = self.num_items + 2;
         logits.data().chunks(vocab).map(|row| row[..self.num_items].to_vec()).collect()

@@ -3,9 +3,9 @@
 use irs_data::split::{pad_to, PaddingScheme, SubSeq};
 use irs_data::{pad_token, ItemId, UserId};
 use irs_nn::{
-    broadcast_then_add, causal_mask, key_padding_mask, Adam, AttnBias, CacheState, Embedding,
-    EncodingLayout, FwdCtx, InferBias, LayerKv, Linear, Optimizer, ParamStore, PositionalEncoding,
-    TransformerBlock,
+    broadcast_then_add, causal_mask, infer_stack, key_padding_mask, Adam, AttnBias, CacheState,
+    Embedding, EncodingLayout, FwdCtx, InferBias, LayerKv, Linear, Optimizer, ParamStore,
+    PositionalEncoding, TransformerBlock,
 };
 use irs_tensor::{Graph, Tensor};
 use rand::SeedableRng;
@@ -224,15 +224,7 @@ impl SasRec {
         }
         h.reshape_in_place(&[1, c, d]);
         let bias = InferBias { base: causal_mask(c), scaled_column: None };
-        let last = match self.blocks.split_last() {
-            Some((final_block, earlier)) => {
-                for block in earlier {
-                    h = block.infer(&self.store, &h, &bias);
-                }
-                final_block.infer_last_query(&self.store, &h, &bias, c - 1)
-            }
-            None => h.select_step(c - 1),
-        };
+        let last = infer_stack(&self.blocks, &self.store, h, &bias, c - 1);
         let logits = self.out.infer(&self.store, &last);
         logits.data()[..self.num_items].to_vec()
     }
@@ -323,15 +315,7 @@ impl SequentialScorer for SasRec {
         };
         let mut h = self.emb.infer_lookup_seq(&self.store, &padded);
         self.pos.infer_add_in_place(&self.store, &mut h);
-        let last = match self.blocks.split_last() {
-            Some((final_block, earlier)) => {
-                for block in earlier {
-                    h = block.infer(&self.store, &h, &bias);
-                }
-                final_block.infer_last_query(&self.store, &h, &bias, t - 1)
-            }
-            None => h.select_step(t - 1),
-        };
+        let last = infer_stack(&self.blocks, &self.store, h, &bias, t - 1);
         let logits = self.out.infer(&self.store, &last);
         let vocab = self.num_items + 1;
         for (&i, row) in live.iter().zip(logits.data().chunks(vocab)) {

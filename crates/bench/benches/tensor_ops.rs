@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use irs_nn::{causal_mask, AttnBias, FwdCtx, MultiHeadAttention, ParamStore};
-use irs_tensor::{matmul_into_packed, matmul_into_plain, Graph, Tensor};
+use irs_tensor::{matmul_into, Graph, Tensor};
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -21,10 +21,10 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-/// Packed-B vs plain kernel head-to-head on the shapes the inference
-/// engine actually hits: fused GRU gate matmuls ([T·B, D] @ [D, 3H]) and
-/// output projections ([B, D] @ [D, vocab]).
-fn bench_matmul_packed(c: &mut Criterion) {
+/// The dense kernel on the shapes the inference engine actually hits:
+/// fused GRU gate matmuls ([T·B, D] @ [D, 3H]) and output projections
+/// ([B, D] @ [D, vocab]), plus two wide shapes.
+fn bench_matmul_kernel(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let mut group = c.benchmark_group("matmul_kernel");
     for &(label, m, k, n) in &[
@@ -39,14 +39,7 @@ fn bench_matmul_packed(c: &mut Criterion) {
         group.bench_function(format!("plain_{label}"), |bch| {
             bch.iter(|| {
                 out.iter_mut().for_each(|v| *v = 0.0);
-                matmul_into_plain(a.data(), b.data(), &mut out, m, k, n);
-                black_box(out[0])
-            });
-        });
-        group.bench_function(format!("packed_{label}"), |bch| {
-            bch.iter(|| {
-                out.iter_mut().for_each(|v| *v = 0.0);
-                matmul_into_packed(a.data(), b.data(), &mut out, m, k, n);
+                matmul_into(a.data(), b.data(), &mut out, m, k, n);
                 black_box(out[0])
             });
         });
@@ -183,7 +176,7 @@ fn bench_view_ops(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
-    bench_matmul_packed,
+    bench_matmul_kernel,
     bench_bmm,
     bench_softmax,
     bench_attention_fwd_bwd,

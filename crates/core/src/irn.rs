@@ -24,17 +24,18 @@
 //! is the objective: standard shifted cross-entropy over the pre-padded
 //! sequence, ignoring PAD targets.
 
+use std::sync::{Mutex, PoisonError};
+
 use irs_data::split::{pad_to, PaddingScheme, SubSeq};
 use irs_data::{pad_token, ItemId, UserId};
 use irs_embed::ItemEmbeddings;
 use irs_nn::{
     append_only_objective_mask, broadcast_then_add, causal_mask, causal_mask_with_objective,
-    key_padding_mask, Adam, AppendKey, AttnBias, CacheState, Embedding, EncodingLayout, FwdCtx,
-    InferBias, LayerKv, Linear, Optimizer, ParamStore, PositionalEncoding, ReduceLrOnPlateau,
-    TransformerBlock,
+    infer_stack, key_padding_mask, Adam, AppendKey, AttnBias, CacheState, Embedding,
+    EncodingLayout, FwdCtx, InferBias, LayerKv, Linear, Optimizer, ParamStore, PositionalEncoding,
+    ReduceLrOnPlateau, TransformerBlock,
 };
 use irs_tensor::{Graph, Tensor, Var};
-use parking_lot::Mutex;
 use rand::SeedableRng;
 
 use crate::{InfluenceRecommender, NextQuery};
@@ -497,23 +498,7 @@ impl Irn {
         // projection, so the final block runs its query/FFN for that row
         // alone and earlier blocks run in full — the graph path computes
         // every position because training needs every logit.
-        let d = self.config.dim;
-        let last = match self.blocks.split_last() {
-            Some((final_block, earlier)) => {
-                for block in earlier {
-                    h = block.infer(&self.store, &h, &bias);
-                }
-                final_block.infer_last_query(&self.store, &h, &bias, t - 2)
-            }
-            None => {
-                let mut rows = Vec::with_capacity(users.len() * d);
-                for bi in 0..users.len() {
-                    let off = bi * t * d + (t - 2) * d;
-                    rows.extend_from_slice(&h.data()[off..off + d]);
-                }
-                Tensor::from_vec(rows, &[users.len(), d])
-            }
-        };
+        let last = infer_stack(&self.blocks, &self.store, h, &bias, t - 2);
         let logits = self.out.infer(&self.store, &last);
         let vocab = self.num_items + 1;
         let rows: Vec<Vec<f32>> =
@@ -538,7 +523,7 @@ impl Irn {
     fn cached_infer_bias(&self, users: &[UserId], pad_lens: &[usize]) -> InferBias {
         let t = self.config.max_len;
         let keypad = key_padding_mask(t, pad_lens);
-        let mut cache = self.pim_cache.lock();
+        let mut cache = self.pim_cache.lock().unwrap_or_else(PoisonError::into_inner);
         if cache.base.is_some() && cache.wt != self.config.wt {
             cache.base = None; // w_t is baked into the Type-2 base mask
         }
@@ -599,7 +584,7 @@ impl Irn {
     /// lifetime.
     fn cached_ru(&self, user: UserId) -> f32 {
         let idx = user % self.num_users;
-        let mut cache = self.pim_cache.lock();
+        let mut cache = self.pim_cache.lock().unwrap_or_else(PoisonError::into_inner);
         if cache.ru.is_empty() {
             cache.ru = vec![None; self.num_users];
         }
@@ -651,18 +636,7 @@ impl Irn {
         }
         h.reshape_in_place(&[1, n, d]);
         let bias = self.append_infer_bias(user, n);
-        let last = match self.blocks.split_last() {
-            Some((final_block, earlier)) => {
-                for block in earlier {
-                    h = block.infer(&self.store, &h, &bias);
-                }
-                final_block.infer_last_query(&self.store, &h, &bias, c - 1)
-            }
-            None => {
-                let off = (c - 1) * d;
-                Tensor::from_vec(h.data()[off..off + d].to_vec(), &[1, d])
-            }
-        };
+        let last = infer_stack(&self.blocks, &self.store, h, &bias, c - 1);
         let logits = self.out.infer(&self.store, &last);
         logits.data()[..self.num_items].to_vec()
     }

@@ -5,8 +5,7 @@
 //! semantic hop.
 
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use irs_data::{Dataset, ItemId, UserId};
 use irs_graph::{RelationCosts, TypedItemGraph};
@@ -45,12 +44,17 @@ impl KgPf2Inf {
     }
 
     fn full_path(&self, source: ItemId, objective: ItemId) -> Option<Vec<ItemId>> {
-        if let Some(p) = self.cache.lock().get(&(source, objective)) {
+        if let Some(p) =
+            self.cache.lock().unwrap_or_else(PoisonError::into_inner).get(&(source, objective))
+        {
             return p.clone();
         }
         let path =
             self.graph.cheapest_path(source, objective, &self.costs).map(|p| p[1..].to_vec());
-        self.cache.lock().insert((source, objective), path.clone());
+        self.cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert((source, objective), path.clone());
         path
     }
 }

@@ -7,8 +7,7 @@
 //! (excluding the start vertex) form the influence path.
 
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use irs_data::{ItemId, UserId};
 use irs_graph::{dijkstra_path, ItemGraph, MstPaths};
@@ -49,7 +48,9 @@ impl Pf2Inf {
     }
 
     fn full_path(&self, source: ItemId, objective: ItemId) -> Option<Vec<ItemId>> {
-        if let Some(p) = self.cache.lock().get(&(source, objective)) {
+        if let Some(p) =
+            self.cache.lock().unwrap_or_else(PoisonError::into_inner).get(&(source, objective))
+        {
             return p.clone();
         }
         let path = match self.algorithm {
@@ -61,7 +62,10 @@ impl Pf2Inf {
         // Drop the start vertex: the influence path starts after the
         // user's last history item.
         .map(|p| p[1..].to_vec());
-        self.cache.lock().insert((source, objective), path.clone());
+        self.cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert((source, objective), path.clone());
         path
     }
 }

@@ -2,8 +2,9 @@
 //! top unseen item, ignoring the objective (§IV-D1, "Vanilla" rows of
 //! Table III).
 
+use std::sync::{Mutex, PoisonError};
+
 use irs_data::{ItemId, UserId};
-use parking_lot::Mutex;
 
 use crate::{rec_utils::top_k_unseen, CacheState, InfluenceRecommender, NextQuery};
 use irs_baselines::SequentialScorer;
@@ -77,7 +78,7 @@ impl<S: SequentialScorer> InfluenceRecommender for Vanilla<S> {
     /// per query.
     fn next_items_into(&self, queries: &[NextQuery<'_>], out: &mut Vec<Option<ItemId>>) {
         if let [q] = queries {
-            let mut scratch = self.scratch.lock();
+            let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
             let VanillaScratch { context, scores } = &mut *scratch;
             context.clear();
             context.extend_from_slice(q.history);

@@ -7,8 +7,11 @@
 //! [`AttnBias::BaseWithScaledColumn`] variant implements exactly that and is
 //! differentiable with respect to `r_u`.
 
-use irs_tensor::{Tensor, Var};
+use std::ops::Range;
 
+use irs_tensor::{gemm, BatchLayout, Operand, Tensor, Var};
+
+use crate::infer::{add_bias_in_place, window_rows, InferBias};
 use crate::kvcache::LayerKv;
 use crate::linear::Linear;
 use crate::params::{FwdCtx, ParamStore};
@@ -198,126 +201,51 @@ impl MultiHeadAttention {
         self.wo.forward3d(ctx, out)
     }
 
-    /// Tape-free eval-mode self-attention over `x: [B, T, D]` — the same
-    /// kernel sequence as [`MultiHeadAttention::forward`] with dropout as
-    /// the identity and the bias applied in place.
-    pub fn infer(&self, store: &ParamStore, x: &Tensor, bias: &crate::infer::InferBias) -> Tensor {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 3, "attention expects 3-D input, got {shape:?}");
-        let (b, _t, d) = (shape[0], shape[1], shape[2]);
-        assert_eq!(d, self.d, "model dim mismatch");
-        let dk = self.d / self.heads;
-
-        let q = crate::infer::split_heads_t(&self.wq.infer(store, x), self.heads);
-        let k = crate::infer::split_heads_t(&self.wk.infer(store, x), self.heads);
-        let v = crate::infer::split_heads_t(&self.wv.infer(store, x), self.heads);
-
-        let mut scores = q.bmm(&k.transpose_last2()).scale(1.0 / (dk as f32).sqrt());
-        crate::infer::add_bias_in_place(&mut scores, bias, b, self.heads);
-        scores.softmax_last_in_place();
-        let out = crate::infer::merge_heads_t(&scores.bmm(&v), self.heads);
-        self.wo.infer(store, &out)
-    }
-
-    /// [`MultiHeadAttention::infer`] restricted to a single query position:
-    /// keys/values cover the full sequence but only query row `q_pos` is
-    /// projected, scored and contracted, returning `[B, D]`.
+    /// Tape-free eval-mode self-attention over `x: [B, T, D]` at the query
+    /// rows `rows` — the whole window `0..T`, or the one row the logits
+    /// read — returning `[B, rows.len(), D]`.  Keys and values span the
+    /// whole window.
     ///
-    /// Row `q_pos` of the full forward is reproduced exactly — each kernel
-    /// touches the same operands in the same order, the other query rows
-    /// simply never influence it.
-    pub fn infer_single_query(
+    /// The products are [`MultiHeadAttention::forward`]'s: Q, K and V are
+    /// read through head-split layouts into [`gemm`] and the context is
+    /// written straight into merged-head rows, with dropout as the
+    /// identity and the bias applied in place.  Each computed row is
+    /// bitwise equal to the same row of the eval-mode forward: no row's
+    /// arithmetic depends on the other query rows.
+    pub fn infer(
         &self,
         store: &ParamStore,
         x: &Tensor,
-        bias: &crate::infer::InferBias,
-        q_pos: usize,
+        bias: &InferBias,
+        rows: Range<usize>,
     ) -> Tensor {
         let shape = x.shape();
         assert_eq!(shape.len(), 3, "attention expects 3-D input, got {shape:?}");
         let (b, t, d) = (shape[0], shape[1], shape[2]);
         assert_eq!(d, self.d, "model dim mismatch");
-        assert!(q_pos < t, "query position {q_pos} out of range T={t}");
-        let heads = self.heads;
+        assert!(!rows.is_empty() && rows.end <= t, "query rows {rows:?} out of range T={t}");
+        let (heads, m, q0) = (self.heads, rows.len(), rows.start);
         let dk = d / heads;
-        let scale = 1.0 / (dk as f32).sqrt();
 
-        let k = crate::infer::split_heads_t(&self.wk.infer(store, x), heads); // [B*H, T, dk]
-        let v = crate::infer::split_heads_t(&self.wv.infer(store, x), heads);
+        let q = self.wq.infer(store, &window_rows(x, rows));
+        let k = self.wk.infer(store, x);
+        let v = self.wv.infer(store, x);
+        let queries = BatchLayout::head_split(b, heads, m, dk);
+        let keys = BatchLayout::head_split(b, heads, t, dk);
 
-        // Project only the query row.
-        let mut xq = Vec::with_capacity(b * d);
-        for bi in 0..b {
-            let off = bi * t * d + q_pos * d;
-            xq.extend_from_slice(&x.data()[off..off + d]);
-        }
-        let q = self.wq.infer(store, &Tensor::from_vec(xq, &[b, d])); // [B, D]
-
-        // scores[b·H+h][j] = (q_row · k_j) / sqrt(dk), then bias row q_pos.
-        let mut scores = Tensor::zeros(&[b * heads, t]);
-        for bi in 0..b {
-            for h in 0..heads {
-                let q_row = &q.data()[bi * d + h * dk..bi * d + (h + 1) * dk];
-                let k_mat = &k.data()[(bi * heads + h) * t * dk..(bi * heads + h + 1) * t * dk];
-                let out_row =
-                    &mut scores.data_mut()[(bi * heads + h) * t..(bi * heads + h + 1) * t];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (p, &qv) in q_row.iter().enumerate() {
-                        acc += qv * k_mat[j * dk + p];
-                    }
-                    *o = acc * scale;
-                }
-            }
-        }
-        match bias.base.ndim() {
-            2 => {
-                for bh in 0..b * heads {
-                    let row = &mut scores.data_mut()[bh * t..(bh + 1) * t];
-                    for (o, j) in row.iter_mut().zip(0..t) {
-                        *o += bias.base.at(&[q_pos, j]);
-                    }
-                }
-            }
-            3 => {
-                for bi in 0..b {
-                    for h in 0..heads {
-                        let off = (bi * heads + h) * t;
-                        for j in 0..t {
-                            scores.data_mut()[off + j] += bias.base.at(&[bi, q_pos, j]);
-                        }
-                    }
-                }
-            }
-            n => panic!("base mask must be 2-D or 3-D, got {n}-D"),
-        }
-        if let Some((col, ru, weight)) = &bias.scaled_column {
-            for (bi, &r) in ru.iter().enumerate() {
-                for h in 0..heads {
-                    scores.data_mut()[(bi * heads + h) * t + col] += weight * r;
-                }
-            }
-        }
+        let mut scores = Tensor::zeros(&[b * heads, m, t]);
+        let (qs, ks) = (Operand::new(q.data(), queries), Operand::new(k.data(), keys).t());
+        gemm(qs, ks, scores.data_mut(), &BatchLayout::dense(b * heads, m, t), m, dk, t);
+        let c = 1.0 / (dk as f32).sqrt();
+        scores.data_mut().iter_mut().for_each(|s| *s *= c);
+        add_bias_in_place(&mut scores, bias, b, heads, q0);
         scores.softmax_last_in_place();
 
-        // attn · V, merged back to [B, D].
-        let mut out = vec![0.0f32; b * d];
-        for bi in 0..b {
-            for h in 0..heads {
-                let attn = &scores.data()[(bi * heads + h) * t..(bi * heads + h + 1) * t];
-                let v_mat = &v.data()[(bi * heads + h) * t * dk..(bi * heads + h + 1) * t * dk];
-                let dst = &mut out[bi * d + h * dk..bi * d + (h + 1) * dk];
-                for (j, &a) in attn.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for (o, &vv) in dst.iter_mut().zip(&v_mat[j * dk..(j + 1) * dk]) {
-                        *o += a * vv;
-                    }
-                }
-            }
-        }
-        self.wo.infer(store, &Tensor::from_vec(out, &[b, d]))
+        // The context lands in merged-head rows, which `queries` addresses.
+        let mut out = Tensor::zeros(&[b, m, d]);
+        let attn = Operand::dense(scores.data(), b * heads, m, t);
+        gemm(attn, Operand::new(v.data(), keys), out.data_mut(), &queries, m, t, dk);
+        self.wo.infer(store, &out)
     }
 
     /// Incremental attention step against a per-session K/V cache: score
@@ -326,8 +254,9 @@ impl MultiHeadAttention {
     /// key, returning the projected attention output plus this row's own
     /// `wk`/`wv` rows for the caller to append to the cache.
     ///
-    /// This reproduces [`MultiHeadAttention::infer_single_query`] under an
-    /// append-only mask ([`append_only_objective_mask`]) exactly: scores
+    /// This reproduces [`MultiHeadAttention::infer`] at one query row
+    /// under an append-only mask ([`append_only_objective_mask`]) exactly:
+    /// scores
     /// accumulate per head in the same key order with the same `p`-ascending
     /// dot products, the bias is applied base-entries-first then
     /// scaled-column (mirroring `add_bias_in_place`), masked keys are never
@@ -628,7 +557,6 @@ mod tests {
         // each row of the batched infer under the append-only mask
         // bitwise, including the objective column handled as a trailing
         // `AppendKey`.
-        use crate::infer::InferBias;
         use crate::kvcache::LayerKv;
 
         let mut r = rng();
@@ -644,7 +572,7 @@ mod tests {
             base: append_only_objective_mask(t, 0.0),
             scaled_column: Some((t - 1, vec![ru], wt)),
         };
-        let cold = mha.infer(&store, &x, &bias);
+        let cold = mha.infer(&store, &x, &bias, 0..t);
 
         // Incremental: objective row first (self-only, its own bias is the
         // overwritten mask entry plus the scaled column), then each

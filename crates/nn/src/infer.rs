@@ -9,14 +9,21 @@
 //! [`crate::Embedding`] and [`crate::PositionalEncoding`] evaluate the
 //! same kernels directly on [`Tensor`] values: parameters are read in
 //! place from the [`crate::ParamStore`], elementwise stages mutate their
-//! operand, and nothing is taped.
+//! operand, and nothing is taped.  Attention and the transformer block
+//! compute only the query rows they are asked for; [`crate::infer_stack`]
+//! runs a model's blocks with the last one at the single row the logits
+//! read.
 //!
 //! **Equivalence contract:** every `infer` method applies the identical
 //! arithmetic in the identical order as its graph twin, so outputs are
-//! bitwise equal to an eval-mode (`training = false`) forward.  The
-//! scalar graph path stays the reference; `Irn::score_next_batch`
-//! debug-asserts one row against it on every call, and the baseline
-//! property tests pin `score_batch ≡ score` per model.
+//! bitwise equal to an eval-mode (`training = false`) forward on the rows
+//! they compute.  The scalar graph path stays the reference;
+//! `Irn::score_next_batch` debug-asserts one row against it on every
+//! call, and the baseline property tests pin `score_batch ≡ score` per
+//! model.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use irs_tensor::Tensor;
 
@@ -30,65 +37,50 @@ pub struct InferBias {
     pub scaled_column: Option<(usize, Vec<f32>, f32)>,
 }
 
-/// `[B, T, D] -> [B*H, T, D/H]`, head-major — mirrors `Var::split_heads`.
-pub(crate) fn split_heads_t(x: &Tensor, heads: usize) -> Tensor {
+/// Rows `rows` of every batch element of `x: [B, T, D]`, as
+/// `[B, rows.len(), D]`: `x` itself for the whole window, a copy
+/// otherwise.
+pub(crate) fn window_rows(x: &Tensor, rows: Range<usize>) -> Cow<'_, Tensor> {
     let (b, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    assert!(heads > 0 && d % heads == 0, "d={d} not divisible by heads={heads}");
-    let dk = d / heads;
-    let mut out = vec![0.0f32; b * t * d];
-    for bi in 0..b {
-        for ti in 0..t {
-            for h in 0..heads {
-                let src = bi * t * d + ti * d + h * dk;
-                let dst = (bi * heads + h) * t * dk + ti * dk;
-                out[dst..dst + dk].copy_from_slice(&x.data()[src..src + dk]);
-            }
-        }
+    if rows == (0..t) {
+        return Cow::Borrowed(x);
     }
-    Tensor::from_vec(out, &[b * heads, t, dk])
+    let mut out = Vec::with_capacity(b * rows.len() * d);
+    for xb in x.data().chunks(t * d) {
+        out.extend_from_slice(&xb[rows.start * d..rows.end * d]);
+    }
+    Cow::Owned(Tensor::from_vec(out, &[b, rows.len(), d]))
 }
 
-/// `[B*H, T, Dk] -> [B, T, H*Dk]` — mirrors `Var::merge_heads`.
-pub(crate) fn merge_heads_t(x: &Tensor, heads: usize) -> Tensor {
-    let (bh, t, dk) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    assert!(heads > 0 && bh % heads == 0, "batch*heads={bh} not divisible by heads={heads}");
-    let b = bh / heads;
-    let d = heads * dk;
-    let mut out = vec![0.0f32; b * t * d];
-    for bi in 0..b {
-        for ti in 0..t {
-            for h in 0..heads {
-                let src = (bi * heads + h) * t * dk + ti * dk;
-                let dst = bi * t * d + ti * d + h * dk;
-                out[dst..dst + dk].copy_from_slice(&x.data()[src..src + dk]);
-            }
-        }
-    }
-    Tensor::from_vec(out, &[b, t, d])
-}
-
-/// Add the bias to raw attention scores `[B*H, T, T]` in place — mirrors
-/// the `add_base` / `add_scaled_column` graph ops.
-pub(crate) fn add_bias_in_place(scores: &mut Tensor, bias: &InferBias, batch: usize, heads: usize) {
-    let t = scores.shape()[1];
-    let tt = t * t;
+/// Add the bias to raw attention scores `[B*H, m, T]` in place, whose `m`
+/// rows are the query positions `q0..q0 + m` — mirrors the `add_base` /
+/// `add_scaled_column` graph ops on those rows.
+pub(crate) fn add_bias_in_place(
+    scores: &mut Tensor,
+    bias: &InferBias,
+    batch: usize,
+    heads: usize,
+    q0: usize,
+) {
+    let (m, t) = (scores.shape()[1], scores.shape()[2]);
+    let (tt, mt) = (t * t, m * t);
+    let rows = q0 * t..(q0 + m) * t;
     match bias.base.ndim() {
         2 => {
             assert_eq!(bias.base.shape(), &[t, t], "base mask must be [T,T]");
-            for bh in 0..batch * heads {
-                let off = bh * tt;
-                for (o, &m) in scores.data_mut()[off..off + tt].iter_mut().zip(bias.base.data()) {
-                    *o += m;
+            let base = &bias.base.data()[rows];
+            for slice in scores.data_mut().chunks_mut(mt) {
+                for (o, &mm) in slice.iter_mut().zip(base) {
+                    *o += mm;
                 }
             }
         }
         3 => {
             assert_eq!(bias.base.shape(), &[batch, t, t], "base mask must be [B,T,T]");
-            for b in 0..batch {
-                let m = &bias.base.data()[b * tt..(b + 1) * tt];
-                for h in 0..heads {
-                    let off = (b * heads + h) * tt;
-                    for (o, &mm) in scores.data_mut()[off..off + tt].iter_mut().zip(m) {
+            for (b, group) in scores.data_mut().chunks_mut(heads * mt).enumerate() {
+                let base = &bias.base.data()[b * tt..(b + 1) * tt][rows.clone()];
+                for slice in group.chunks_mut(mt) {
+                    for (o, &mm) in slice.iter_mut().zip(base) {
                         *o += mm;
                     }
                 }
@@ -99,13 +91,10 @@ pub(crate) fn add_bias_in_place(scores: &mut Tensor, bias: &InferBias, batch: us
     if let Some((col, scale, weight)) = &bias.scaled_column {
         assert!(*col < t, "column {col} out of range T={t}");
         assert_eq!(scale.len(), batch, "scale must have one entry per batch element");
-        for (b, &ru) in scale.iter().enumerate() {
+        for (group, &ru) in scores.data_mut().chunks_mut(heads * mt).zip(scale) {
             let add = weight * ru;
-            for h in 0..heads {
-                let off = (b * heads + h) * tt;
-                for q in 0..t {
-                    scores.data_mut()[off + q * t + col] += add;
-                }
+            for row in group.chunks_mut(t) {
+                row[*col] += add;
             }
         }
     }
@@ -116,22 +105,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_merge_heads_round_trip() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let x = Tensor::randn(&[2, 3, 8], 1.0, &mut rng);
-        let merged = merge_heads_t(&split_heads_t(&x, 4), 4);
-        assert_eq!(merged.data(), x.data());
-    }
-
-    #[test]
     fn scaled_column_adds_to_every_query_row() {
         let mut scores = Tensor::zeros(&[4, 2, 2]); // B=2, H=2
         let bias = InferBias {
             base: Tensor::zeros(&[2, 2]),
             scaled_column: Some((1, vec![0.5, -1.0], 2.0)),
         };
-        add_bias_in_place(&mut scores, &bias, 2, 2);
+        add_bias_in_place(&mut scores, &bias, 2, 2, 0);
         assert_eq!(scores.at(&[0, 0, 1]), 1.0);
         assert_eq!(scores.at(&[1, 1, 1]), 1.0);
         assert_eq!(scores.at(&[2, 0, 1]), -2.0);

@@ -62,7 +62,7 @@ pub use norm::LayerNorm;
 pub use optim::{clip_grad_norm, Adam, Optimizer, ReduceLrOnPlateau, Sgd};
 pub use params::{FwdCtx, ParamId, ParamStore};
 pub use serialize::{irsp_summary, IrspRecord};
-pub use transformer::TransformerBlock;
+pub use transformer::{infer_stack, TransformerBlock};
 
 use irs_tensor::Var;
 

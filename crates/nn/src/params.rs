@@ -2,8 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use irs_tensor::{Graph, Tensor, Var};
 use rand::SeedableRng;
@@ -34,7 +33,10 @@ impl ParamStore {
     /// Register a parameter; the name is used for debugging and summaries.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = self.values.len();
-        self.grads.get_mut().push(Tensor::zeros(value.shape()));
+        self.grads
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Tensor::zeros(value.shape()));
         self.values.push(value);
         self.names.push(name.into());
         ParamId(id)
@@ -65,19 +67,24 @@ impl ParamStore {
         &self.names[id.0]
     }
 
+    /// The gradient accumulators, locked.
+    fn grads(&self) -> MutexGuard<'_, Vec<Tensor>> {
+        self.grads.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Clone of the accumulated gradient of a parameter.
     pub fn grad(&self, id: ParamId) -> Tensor {
-        self.grads.lock()[id.0].clone()
+        self.grads()[id.0].clone()
     }
 
     /// Add `delta` into a parameter's gradient accumulator.
     pub fn accumulate_grad(&self, id: ParamId, delta: &Tensor) {
-        self.grads.lock()[id.0].add_assign(delta);
+        self.grads()[id.0].add_assign(delta);
     }
 
     /// Reset every gradient accumulator to zero.
     pub fn zero_grad(&self) {
-        for g in self.grads.lock().iter_mut() {
+        for g in self.grads().iter_mut() {
             g.zero_();
         }
     }
@@ -89,7 +96,7 @@ impl ParamStore {
 
     /// Run `f` over every `(value, grad)` pair mutably — optimizer hook.
     pub(crate) fn for_each_mut(&mut self, mut f: impl FnMut(usize, &mut Tensor, &Tensor)) {
-        let grads = self.grads.lock();
+        let grads = self.grads.get_mut().unwrap_or_else(PoisonError::into_inner);
         for (i, v) in self.values.iter_mut().enumerate() {
             f(i, v, &grads[i]);
         }
@@ -97,12 +104,12 @@ impl ParamStore {
 
     /// Global L2 norm of all gradients.
     pub fn grad_norm(&self) -> f32 {
-        self.grads.lock().iter().map(Tensor::sq_norm).sum::<f32>().sqrt()
+        self.grads().iter().map(Tensor::sq_norm).sum::<f32>().sqrt()
     }
 
     /// Scale every gradient by `c` (used by gradient clipping).
     pub fn scale_grads(&self, c: f32) {
-        for g in self.grads.lock().iter_mut() {
+        for g in self.grads().iter_mut() {
             for x in g.data_mut() {
                 *x *= c;
             }

@@ -17,7 +17,6 @@
 //! refuses shape or coverage mismatches, so a file can only be loaded into
 //! the model architecture that produced it.
 
-use bytes::{Buf, BufMut, BytesMut};
 use std::io::{self, Read, Write};
 
 use irs_tensor::Tensor;
@@ -34,28 +33,25 @@ fn err(msg: impl Into<String>) -> io::Error {
 impl ParamStore {
     /// Serialise every parameter tensor (names, shapes, values).
     pub fn save_parameters<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(self.num_tensors() as u32);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        let count = u32::try_from(self.num_tensors()).map_err(|_| err("too many parameters"))?;
+        buf.extend_from_slice(&count.to_le_bytes());
         for id in self.ids() {
             let name = self.name(id).as_bytes();
-            if name.len() > u16::MAX as usize {
-                return Err(err("parameter name too long"));
-            }
-            buf.put_u16_le(name.len() as u16);
-            buf.put_slice(name);
+            let name_len = u16::try_from(name.len()).map_err(|_| err("parameter name too long"))?;
+            buf.extend_from_slice(&name_len.to_le_bytes());
+            buf.extend_from_slice(name);
             let value = self.value(id);
             let shape = value.shape();
-            if shape.len() > u8::MAX as usize {
-                return Err(err("parameter rank too large"));
-            }
-            buf.put_u8(shape.len() as u8);
+            buf.push(u8::try_from(shape.len()).map_err(|_| err("parameter rank too large"))?);
             for &d in shape {
-                buf.put_u32_le(d as u32);
+                let d = u32::try_from(d).map_err(|_| err("parameter dimension too large"))?;
+                buf.extend_from_slice(&d.to_le_bytes());
             }
             for &x in value.data() {
-                buf.put_f32_le(x);
+                buf.extend_from_slice(&x.to_le_bytes());
             }
         }
         writer.write_all(&buf)
@@ -110,9 +106,11 @@ impl ParamStore {
 
 /// Streaming reader over an IRSP byte buffer — the single copy of the
 /// format grammar shared by [`ParamStore::load_parameters`] (which reads
-/// the weight payloads) and [`irsp_summary`] (which skips them).
+/// the weight payloads) and [`irsp_summary`] (which skips them).  Every
+/// read is bounds-checked and every size is overflow-checked, so a
+/// malformed file fails with `InvalidData` and never panics.
 struct IrspReader<'a> {
-    buf: &'a [u8],
+    rest: &'a [u8],
     remaining: usize,
     count: usize,
 }
@@ -120,27 +118,35 @@ struct IrspReader<'a> {
 impl<'a> IrspReader<'a> {
     /// Validate magic + version and read the record count.
     fn new(raw: &'a [u8]) -> io::Result<IrspReader<'a>> {
-        let mut buf = raw;
-        Self::need(&buf, 12)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        let mut r = IrspReader { rest: raw, remaining: 0, count: 0 };
+        if r.take(4)? != MAGIC {
             return Err(err("not an IRSP parameter file"));
         }
-        let version = buf.get_u32_le();
+        let version = r.u32()?;
         if version != VERSION {
             return Err(err(format!("unsupported IRSP version {version}")));
         }
-        let count = buf.get_u32_le() as usize;
-        Ok(IrspReader { buf, remaining: count, count })
+        let count = r.u32()? as usize;
+        // A record takes at least 3 bytes (name length and rank).
+        if count > r.rest.len() / 3 {
+            return Err(err(format!("{count} records cannot fit in {} bytes", r.rest.len())));
+        }
+        (r.remaining, r.count) = (count, count);
+        Ok(r)
     }
 
-    fn need(buf: &&[u8], n: usize) -> io::Result<()> {
-        if buf.remaining() < n {
-            Err(err("truncated parameter file"))
-        } else {
-            Ok(())
+    /// The next `n` bytes, or `InvalidData` when fewer are left.
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if self.rest.len() < n {
+            return Err(err("truncated parameter file"));
         }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("take(4) is 4 bytes")))
     }
 
     /// Number of records the header declares.
@@ -149,29 +155,28 @@ impl<'a> IrspReader<'a> {
     }
 
     /// The next `(name, shape, raw little-endian f32 payload)` record, or
-    /// `None` after the last one.
+    /// `None` after the last one, which must end the file.
     #[allow(clippy::type_complexity)]
     fn next_record(&mut self) -> io::Result<Option<(String, Vec<usize>, &'a [u8])>> {
         if self.remaining == 0 {
+            if !self.rest.is_empty() {
+                return Err(err("trailing bytes after the last record"));
+            }
             return Ok(None);
         }
         self.remaining -= 1;
-        let buf = &mut self.buf;
-        Self::need(buf, 2)?;
-        let name_len = buf.get_u16_le() as usize;
-        Self::need(buf, name_len)?;
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        let name = String::from_utf8(name_bytes).map_err(|_| err("invalid UTF-8 name"))?;
-
-        Self::need(buf, 1)?;
-        let ndim = buf.get_u8() as usize;
-        Self::need(buf, 4 * ndim)?;
-        let shape: Vec<usize> = (0..ndim).map(|_| buf.get_u32_le() as usize).collect();
-        let numel: usize = shape.iter().product();
-        Self::need(buf, 4 * numel)?;
-        let payload = &buf[..4 * numel];
-        buf.advance(4 * numel);
+        let name_len = u16::from_le_bytes(self.take(2)?.try_into().expect("take(2) is 2 bytes"));
+        let name = std::str::from_utf8(self.take(name_len as usize)?)
+            .map_err(|_| err("invalid UTF-8 name"))?
+            .to_owned();
+        let ndim = self.take(1)?[0];
+        let shape = (0..ndim).map(|_| Ok(self.u32()? as usize)).collect::<io::Result<Vec<_>>>()?;
+        let bytes = shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .and_then(|numel| numel.checked_mul(4))
+            .ok_or_else(|| err(format!("shape {shape:?} of '{name}' overflows usize")))?;
+        let payload = self.take(bytes)?;
         Ok(Some((name, shape, payload)))
     }
 }
@@ -261,6 +266,59 @@ mod tests {
 
         let truncated = &bytes[..bytes.len() / 2];
         assert!(dst.load_parameters(truncated).is_err());
+    }
+
+    /// An IRSP header declaring `count` records, then `body`.
+    fn irsp_file(count: u32, body: &[u8]) -> Vec<u8> {
+        let mut f = MAGIC.to_vec();
+        f.extend_from_slice(&VERSION.to_le_bytes());
+        f.extend_from_slice(&count.to_le_bytes());
+        f.extend_from_slice(body);
+        f
+    }
+
+    /// A record's name and dims, with no payload after them.
+    fn record_head(name_len: u16, name: &[u8], dims: &[u32]) -> Vec<u8> {
+        let mut r = name_len.to_le_bytes().to_vec();
+        r.extend_from_slice(name);
+        r.push(dims.len() as u8);
+        for d in dims {
+            r.extend_from_slice(&d.to_le_bytes());
+        }
+        r
+    }
+
+    #[test]
+    fn hostile_files_fail_with_invalid_data_and_never_panic() {
+        let mut valid = Vec::new();
+        sample_store(1).save_parameters(&mut valid).unwrap();
+        let mut corpus: Vec<Vec<u8>> = (0..valid.len()).map(|n| valid[..n].to_vec()).collect();
+        for i in 0..12 {
+            let mut flipped = valid.clone();
+            flipped[i] ^= 0xFF;
+            corpus.push(flipped);
+        }
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        corpus.push(trailing);
+        // Π dims overflows usize, then Π dims fits a 64-bit usize and
+        // 4 · Π dims does not.  One record reaches the end of the summary;
+        // three reach `load_parameters`' record loop.
+        for dims in [&[1u32 << 16; 4][..], &[1 << 31, 1 << 31]] {
+            let record = record_head(1, b"w", dims);
+            corpus.push(irsp_file(1, &record));
+            corpus.push(irsp_file(3, &record));
+        }
+        // The name runs past the end of the file.
+        corpus.push(irsp_file(3, &record_head(u16::MAX, b"layer.w", &[3, 4])));
+        corpus.push(irsp_file(u32::MAX, &valid[12..]));
+
+        for (i, file) in corpus.iter().enumerate() {
+            let summary = irsp_summary(&file[..]).map(|_| ()).unwrap_err();
+            assert_eq!(summary.kind(), io::ErrorKind::InvalidData, "summary of input {i}");
+            let load = sample_store(2).load_parameters(&file[..]).unwrap_err();
+            assert_eq!(load.kind(), io::ErrorKind::InvalidData, "load of input {i}");
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! A post-LN transformer block: self-attention and feed-forward sublayers
 //! with residual connections, as used by SASRec, Bert4Rec and IRN.
 
-use irs_tensor::Var;
+use std::ops::Range;
+
+use irs_tensor::{Tensor, Var};
 
 use crate::attention::{AttnBias, MultiHeadAttention};
+use crate::infer::{window_rows, InferBias};
 use crate::linear::FeedForward;
 use crate::norm::LayerNorm;
 use crate::params::{FwdCtx, ParamStore};
@@ -57,48 +60,19 @@ impl TransformerBlock {
         self.ln2.forward(ctx, x.add(f))
     }
 
-    /// Tape-free eval-mode apply: same sublayer order as
-    /// [`TransformerBlock::forward`] with dropout as the identity;
-    /// residual adds and layer norms mutate in place.
+    /// Tape-free eval-mode apply at the query rows `rows` (see
+    /// [`MultiHeadAttention::infer`]), returning `[B, rows.len(), D]`: same
+    /// sublayer order as [`TransformerBlock::forward`] with dropout as the
+    /// identity; residual adds and layer norms mutate in place.
     pub fn infer(
         &self,
         store: &ParamStore,
-        x: &irs_tensor::Tensor,
-        bias: &crate::infer::InferBias,
-    ) -> irs_tensor::Tensor {
-        let a = self.attn.infer(store, x, bias);
-        let mut h = x.add(&a);
-        self.ln1.infer_in_place(store, &mut h);
-        let f = self.ff.infer(store, &h);
-        h.add_assign(&f);
-        self.ln2.infer_in_place(store, &mut h);
-        h
-    }
-
-    /// Final-layer shortcut: when only position `q_pos` feeds downstream
-    /// consumers (next-item logits), attention keys/values still span the
-    /// whole sequence but the query, residuals, norms and feed-forward run
-    /// for that single row, returning `[B, D]` — exactly row `q_pos` of
-    /// [`TransformerBlock::infer`].
-    pub fn infer_last_query(
-        &self,
-        store: &ParamStore,
-        x: &irs_tensor::Tensor,
-        bias: &crate::infer::InferBias,
-        q_pos: usize,
-    ) -> irs_tensor::Tensor {
-        let (b, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        assert!(q_pos < t, "query position {q_pos} out of range T={t}");
-        let a = self.attn.infer_single_query(store, x, bias, q_pos);
-        let mut h = a; // reuse: h = x[., q_pos, :] + a
-        for bi in 0..b {
-            let src = bi * t * d + q_pos * d;
-            for (o, &xv) in
-                h.data_mut()[bi * d..(bi + 1) * d].iter_mut().zip(&x.data()[src..src + d])
-            {
-                *o += xv;
-            }
-        }
+        x: &Tensor,
+        bias: &InferBias,
+        rows: Range<usize>,
+    ) -> Tensor {
+        let mut h = self.attn.infer(store, x, bias, rows.clone());
+        h.add_assign(&window_rows(x, rows));
         self.ln1.infer_in_place(store, &mut h);
         let f = self.ff.infer(store, &h);
         h.add_assign(&f);
@@ -110,7 +84,7 @@ impl TransformerBlock {
     /// (see [`MultiHeadAttention::infer_append_row`]): attention over the
     /// cached keys plus this row and the optional objective slot, then the
     /// residual/norm/feed-forward sublayers in the same order as
-    /// [`TransformerBlock::infer_last_query`].  `out` is this row's block
+    /// [`TransformerBlock::infer`].  `out` is this row's block
     /// output `[1, D]`; `k`/`v` are its projection rows for the caller to
     /// append to the cache.
     pub fn infer_append_row(
@@ -124,7 +98,7 @@ impl TransformerBlock {
     ) -> crate::attention::AppendRowOut {
         let mut r =
             self.attn.infer_append_row(store, x_row, cached, own_base, own_scaled, objective);
-        // h = a + x (residual), matching `infer_last_query`'s add order.
+        // h = a + x (residual), matching `infer`'s add order.
         for (o, &xv) in r.out.data_mut().iter_mut().zip(x_row) {
             *o += xv;
         }
@@ -136,11 +110,36 @@ impl TransformerBlock {
     }
 }
 
+/// The tape-free stack at one query row: every block but the last runs
+/// over the whole window, the last runs at row `q` only (the row the
+/// next-item logits read), and with no blocks the result is row `q` of
+/// `x`.  Returns `[B, D]`, bitwise equal to row `q` of the eval-mode graph
+/// forward through the same blocks.
+pub fn infer_stack(
+    blocks: &[TransformerBlock],
+    store: &ParamStore,
+    mut x: Tensor,
+    bias: &InferBias,
+    q: usize,
+) -> Tensor {
+    let Some((last, earlier)) = blocks.split_last() else {
+        return x.select_step(q);
+    };
+    let t = x.shape()[1];
+    for block in earlier {
+        x = block.infer(store, &x, bias, 0..t);
+    }
+    let mut h = last.infer(store, &x, bias, q..q + 1);
+    let (b, d) = (h.shape()[0], h.shape()[2]);
+    h.reshape_in_place(&[b, d]);
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attention::causal_mask;
-    use irs_tensor::{Graph, Tensor};
+    use irs_tensor::Graph;
     use rand::SeedableRng;
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests for layers and optimizers.
 
 use irs_nn::{
-    causal_mask, causal_mask_with_objective, Adam, AttnBias, FwdCtx, Gru, LayerNorm, Linear,
-    MultiHeadAttention, Optimizer, ParamStore, Sgd,
+    broadcast_then_add, causal_mask, causal_mask_with_objective, key_padding_mask, Adam, AttnBias,
+    FwdCtx, Gru, InferBias, LayerNorm, Linear, MultiHeadAttention, Optimizer, ParamStore, Sgd,
+    TransformerBlock,
 };
 use irs_tensor::{Graph, Tensor};
 use proptest::prelude::*;
@@ -146,6 +147,63 @@ proptest! {
                     want,
                     got
                 );
+            }
+        }
+    }
+
+    /// The tape-free transformer block ([`TransformerBlock::infer`]) is
+    /// bitwise equal to the eval-mode graph forward, over every row and
+    /// over the one-row window the next-item logits read — under a shared
+    /// 2-D or a per-element 3-D base mask, with or without the PIM scaled
+    /// column.
+    #[test]
+    fn transformer_infer_equals_graph_forward(
+        seed in 0u64..500,
+        b in 1usize..4,
+        t in 1usize..7,
+        heads_pick in 0usize..3,
+        q_pick in 0usize..6,
+        per_element in 0u8..2,
+        scaled in 0u8..2,
+    ) {
+        let (d, heads, q) = (8, [1, 2, 4][heads_pick], q_pick % t);
+        let mut r = rng(seed);
+        let mut store = ParamStore::new();
+        let block = TransformerBlock::new(&mut store, "b", d, heads, 0.0, &mut r);
+        let x = Tensor::randn(&[b, t, d], 1.0, &mut r);
+        let base = if per_element == 1 {
+            let pad_lens: Vec<usize> = (0..b).map(|i| (seed as usize + i) % t).collect();
+            let shared = causal_mask_with_objective(t, t - 1, 0.0);
+            broadcast_then_add(&shared, &key_padding_mask(t, &pad_lens))
+        } else {
+            causal_mask(t)
+        };
+        let ru = Tensor::randn(&[b], 1.0, &mut r);
+        let (col, wt) = (t - 1, 0.7f32);
+
+        let g = Graph::new();
+        let ctx = FwdCtx::new(&g, &store, false, 0);
+        let graph_bias = if scaled == 1 {
+            let scale = g.constant(ru.clone());
+            AttnBias::BaseWithScaledColumn { base: base.clone(), col, scale, weight: wt }
+        } else {
+            AttnBias::Base(base.clone())
+        };
+        let want = block.forward(&ctx, g.constant(x.clone()), &graph_bias).value();
+        let scaled_column = (scaled == 1).then(|| (col, ru.data().to_vec(), wt));
+        let bias = InferBias { base, scaled_column };
+        let full = block.infer(&store, &x, &bias, 0..t);
+        let row = block.infer(&store, &x, &bias, q..q + 1);
+
+        prop_assert_eq!(full.shape(), want.shape());
+        for (i, (&got, &w)) in full.data().iter().zip(want.data()).enumerate() {
+            prop_assert_eq!(got.to_bits(), w.to_bits(), "element {}: {} vs {}", i, got, w);
+        }
+        prop_assert_eq!(row.shape(), &[b, 1, d][..]);
+        for bi in 0..b {
+            for j in 0..d {
+                let (got, w) = (row.at(&[bi, 0, j]), want.at(&[bi, q, j]));
+                prop_assert_eq!(got.to_bits(), w.to_bits(), "row {} dim {}: {} vs {}", bi, j, got, w);
             }
         }
     }

@@ -52,13 +52,12 @@
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use irs_core::InteractiveSession;
 use irs_nn::EncodingLayout;
 use irs_obs::FlatValue;
-use parking_lot::RwLock;
 
 use crate::conn::{Conn, RequestSpans};
 use crate::json::{write_json_num, write_json_str, JsonRef};
@@ -262,7 +261,7 @@ impl HttpServer {
     /// the `online_*` counters.  The trainer is stopped when
     /// [`HttpServer::run`] returns.
     pub fn set_online(&self, handle: OnlineHandle) {
-        *self.state.online.write() = Some(Arc::new(handle));
+        *self.state.online.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(handle));
     }
 
     /// The bound address (use port 0 in `bind` for an ephemeral port).
@@ -351,7 +350,9 @@ impl HttpServer {
         // feedback event or force a publish has already drained.  The
         // stop is a bounded join — a stalled trainer is detached, never
         // a shutdown hang.
-        if let Some(online) = self.state.online.read().clone() {
+        if let Some(online) =
+            self.state.online.read().unwrap_or_else(PoisonError::into_inner).clone()
+        {
             online.stop();
         }
         Ok(())
@@ -670,7 +671,7 @@ fn sample_metrics(state: &Arc<ServerState>) {
     }
     // Online-learning counters (zeroes when --online-train is off, so
     // dashboards scrape one stable schema).
-    let online = state.online.read().clone();
+    let online = state.online.read().unwrap_or_else(PoisonError::into_inner).clone();
     let stats = online.as_ref().map(|h| h.stats());
     m.online.enabled.set(online.is_some());
     m.online.events_logged.store(stats.map_or(0, |s| s.events_logged));
@@ -911,7 +912,7 @@ fn feedback(
             )));
         }
     }
-    let online = state.online.read().clone();
+    let online = state.online.read().unwrap_or_else(PoisonError::into_inner).clone();
     let b = &mut ws.body;
     state
         .sessions
@@ -1003,7 +1004,7 @@ fn rollback(state: &Arc<ServerState>, ws: &mut RequestWorkspace) -> Result<u16, 
 fn force_publish(state: &Arc<ServerState>, ws: &mut RequestWorkspace) -> Result<u16, HttpError> {
     // Clone the handle out of the guard first: a slow publish tick must
     // not hold the online lock (stats keep answering meanwhile).
-    let Some(handle) = state.online.read().clone() else {
+    let Some(handle) = state.online.read().unwrap_or_else(PoisonError::into_inner).clone() else {
         return Err(HttpError::new(501, "online training not enabled on this server"));
     };
     match handle.force_publish(Duration::from_secs(30)) {

@@ -35,13 +35,12 @@
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use irs_core::{IncrementalTrainer, Irn};
 use irs_data::split::SubSeq;
 use irs_obs::{log_error, log_warn};
-use parking_lot::{Condvar, Mutex};
 
 use crate::snapshot::{ModelSnapshot, SnapshotRegistry, CANARY_ARM};
 
@@ -84,7 +83,7 @@ impl ReplayBuffer {
 
     /// Log one event, dropping the oldest beyond the cap.
     pub fn push(&self, event: FeedbackEvent) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.len() >= self.cap {
             inner.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -98,13 +97,13 @@ impl ReplayBuffer {
     /// request path never contends with a forward/backward pass.
     pub fn snapshot_into(&self, out: &mut Vec<FeedbackEvent>) {
         out.clear();
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         out.extend(inner.iter().cloned());
     }
 
     /// Events currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Whether the buffer is empty.
@@ -339,33 +338,25 @@ impl OnlineHandle {
     /// condvar — a stalled trainer costs the caller the timeout, never
     /// a wedge.
     pub fn force_publish(&self, timeout: Duration) -> Result<u64, ForcePublishError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.control.state.lock();
+        let mut state = self.control.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.dead {
             return Err(ForcePublishError::Dead);
         }
         state.pending += 1;
         let ticket = state.pending;
         self.control.signal.notify_all();
-        while state.served < ticket {
-            if state.dead {
-                return Err(ForcePublishError::Dead);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ForcePublishError::Timeout);
-            }
-            if self.control.signal.wait_until(&mut state, deadline).timed_out() {
-                return if state.served >= ticket {
-                    Ok(state.last_version)
-                } else if state.dead {
-                    Err(ForcePublishError::Dead)
-                } else {
-                    Err(ForcePublishError::Timeout)
-                };
-            }
+        let (state, _) = self
+            .control
+            .signal
+            .wait_timeout_while(state, timeout, |s| s.served < ticket && !s.dead)
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.served >= ticket {
+            Ok(state.last_version)
+        } else if state.dead {
+            Err(ForcePublishError::Dead)
+        } else {
+            Err(ForcePublishError::Timeout)
         }
-        Ok(state.last_version)
     }
 
     /// A point-in-time copy of every online-learning counter.
@@ -388,11 +379,13 @@ impl OnlineHandle {
     /// contract: shutdown must not hang on a stuck trainer).  Idempotent.
     pub fn stop(&self) {
         {
-            let mut state = self.control.state.lock();
+            let mut state = self.control.state.lock().unwrap_or_else(PoisonError::into_inner);
             state.stop = true;
         }
         self.control.signal.notify_all();
-        let Some(thread) = self.thread.lock().take() else { return };
+        let Some(thread) = self.thread.lock().unwrap_or_else(PoisonError::into_inner).take() else {
+            return;
+        };
         let deadline = Instant::now() + Duration::from_secs(2);
         while !thread.is_finished() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
@@ -427,7 +420,7 @@ fn trainer_loop<F>(
             panics.fetch_add(1, Ordering::Relaxed);
         }
         counters.alive.store(false, Ordering::Relaxed);
-        let mut state = control.state.lock();
+        let mut state = control.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.dead = true;
         control.signal.notify_all();
     };
@@ -452,13 +445,13 @@ fn trainer_loop<F>(
     let mut dirty = false;
     loop {
         let forced_up_to = {
-            let mut state = control.state.lock();
-            let deadline = Instant::now() + config.publish_every;
-            while !state.stop && state.pending <= state.served {
-                if control.signal.wait_until(&mut state, deadline).timed_out() {
-                    break;
-                }
-            }
+            let state = control.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let (state, _) = control
+                .signal
+                .wait_timeout_while(state, config.publish_every, |s| {
+                    !s.stop && s.pending <= s.served
+                })
+                .unwrap_or_else(PoisonError::into_inner);
             if state.stop {
                 break;
             }
@@ -496,7 +489,7 @@ fn trainer_loop<F>(
         match tick {
             Ok(published) => {
                 if let Some(ticket) = forced_up_to {
-                    let mut state = control.state.lock();
+                    let mut state = control.state.lock().unwrap_or_else(PoisonError::into_inner);
                     state.served = ticket;
                     state.last_version =
                         published.unwrap_or_else(|| registry.arm_version(CANARY_ARM));

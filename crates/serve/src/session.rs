@@ -21,10 +21,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use irs_core::{ContextCache, InteractiveSession};
-use parking_lot::Mutex;
 
 use crate::snapshot::NUM_ARMS;
 
@@ -101,7 +101,7 @@ impl SessionStore {
     /// (hand it back with [`SessionStore::put_cache`]).  `None` when the
     /// session is unknown or has no cache parked.
     pub fn take_cache(&self, id: SessionId) -> Option<ContextCache> {
-        let cache = self.shard(id).lock().get_mut(&id).and_then(|slot| slot.cache.take())?;
+        let cache = self.shard(id).get_mut(&id).and_then(|slot| slot.cache.take())?;
         self.cache_bytes.fetch_sub(cache.resident_bytes(), Ordering::Relaxed);
         Some(cache)
     }
@@ -124,7 +124,7 @@ impl SessionStore {
                 return;
             }
         }
-        let mut shard = self.shard(id).lock();
+        let mut shard = self.shard(id);
         let Some(slot) = shard.get_mut(&id) else { return }; // session evicted mid-flight
         slot.cache = Some(cache);
         self.cache_bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -136,7 +136,7 @@ impl SessionStore {
     fn evict_lru_cache(&self, keep: SessionId) -> bool {
         let mut victim: Option<(SessionId, Instant)> = None;
         for shard in &self.shards {
-            for (&id, slot) in shard.lock().iter() {
+            for (&id, slot) in shard.lock().unwrap_or_else(PoisonError::into_inner).iter() {
                 if id != keep && slot.cache.is_some() {
                     let older = victim.is_none_or(|(_, seen)| slot.last_seen < seen);
                     if older {
@@ -149,8 +149,7 @@ impl SessionStore {
         // Re-lock the victim's shard; the cache may have been taken by a
         // concurrent request in the window — treat that as nothing to
         // evict this round.
-        let Some(cache) = self.shard(id).lock().get_mut(&id).and_then(|slot| slot.cache.take())
-        else {
+        let Some(cache) = self.shard(id).get_mut(&id).and_then(|slot| slot.cache.take()) else {
             return false;
         };
         self.cache_bytes.fetch_sub(cache.resident_bytes(), Ordering::Relaxed);
@@ -158,11 +157,14 @@ impl SessionStore {
         true
     }
 
-    fn shard(&self, id: SessionId) -> &Mutex<HashMap<SessionId, Slot>> {
+    /// Lock the shard that holds `id`.
+    fn shard(&self, id: SessionId) -> MutexGuard<'_, HashMap<SessionId, Slot>> {
         // Ids are sequential; a multiplicative hash spreads neighbouring
         // sessions across shards (Fibonacci hashing).
         let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(h >> 32) as usize % self.shards.len()]
+        self.shards[(h >> 32) as usize % self.shards.len()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Insert a new session on the stable arm and return its id.
@@ -182,7 +184,6 @@ impl SessionStore {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let arm = assign(id).min(NUM_ARMS - 1);
         self.shard(id)
-            .lock()
             .insert(id, Slot { session, last_seen: Instant::now(), pins: 0, cache: None, arm });
         (id, arm)
     }
@@ -197,7 +198,7 @@ impl SessionStore {
         id: SessionId,
         f: impl FnOnce(&mut InteractiveSession, usize) -> T,
     ) -> Option<(SessionPin<'_>, T)> {
-        let mut shard = self.shard(id).lock();
+        let mut shard = self.shard(id);
         let slot = shard.get_mut(&id)?;
         slot.last_seen = Instant::now();
         slot.pins += 1;
@@ -207,7 +208,7 @@ impl SessionStore {
     }
 
     fn unpin(&self, id: SessionId) {
-        if let Some(slot) = self.shard(id).lock().get_mut(&id) {
+        if let Some(slot) = self.shard(id).get_mut(&id) {
             slot.pins = slot.pins.saturating_sub(1);
             // The request that held the pin just finished: that is
             // activity, so the idle clock restarts now rather than at the
@@ -234,7 +235,7 @@ impl SessionStore {
         id: SessionId,
         f: impl FnOnce(&mut InteractiveSession, usize) -> T,
     ) -> Option<T> {
-        self.shard(id).lock().get_mut(&id).map(|slot| {
+        self.shard(id).get_mut(&id).map(|slot| {
             slot.last_seen = Instant::now();
             f(&mut slot.session, slot.arm)
         })
@@ -245,7 +246,7 @@ impl SessionStore {
     pub fn arm_census(&self) -> [usize; NUM_ARMS] {
         let mut census = [0usize; NUM_ARMS];
         for shard in &self.shards {
-            for slot in shard.lock().values() {
+            for slot in shard.lock().unwrap_or_else(PoisonError::into_inner).values() {
                 census[slot.arm.min(NUM_ARMS - 1)] += 1;
             }
         }
@@ -254,7 +255,7 @@ impl SessionStore {
 
     /// Remove a session, returning its final state.
     pub fn remove(&self, id: SessionId) -> Option<InteractiveSession> {
-        let slot = self.shard(id).lock().remove(&id)?;
+        let slot = self.shard(id).remove(&id)?;
         if let Some(cache) = &slot.cache {
             self.cache_bytes.fetch_sub(cache.resident_bytes(), Ordering::Relaxed);
         }
@@ -272,7 +273,7 @@ impl SessionStore {
         self.shards
             .iter()
             .map(|s| {
-                let mut shard = s.lock();
+                let mut shard = s.lock().unwrap_or_else(PoisonError::into_inner);
                 let before = shard.len();
                 let mut freed = 0usize;
                 shard.retain(|_, slot| {
@@ -294,7 +295,7 @@ impl SessionStore {
 
     /// Number of live sessions across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len()).sum()
     }
 
     /// Whether no sessions are live.

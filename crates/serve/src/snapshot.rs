@@ -29,11 +29,10 @@
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use irs_core::{InfluenceRecommender, Irn, IrnConfig};
 use irs_nn::IrspRecord;
-use parking_lot::RwLock;
 
 /// The recommender trait object a snapshot serves.
 pub type ServedModel = Box<dyn InfluenceRecommender + Send + Sync>;
@@ -155,10 +154,15 @@ impl SnapshotRegistry {
         self.arm_versioned(0)
     }
 
+    /// Read-lock the slot of `arm`, clamped into range.
+    fn slot(&self, arm: usize) -> RwLockReadGuard<'_, ArmSlot> {
+        self.arms[arm.min(NUM_ARMS - 1)].read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The snapshot served on `arm` (indices clamp into range so a
     /// corrupt arm id degrades to the stable model, never a panic).
     pub fn arm(&self, arm: usize) -> Arc<ModelSnapshot> {
-        self.arms[arm.min(NUM_ARMS - 1)].read().snapshot.clone()
+        self.slot(arm).snapshot.clone()
     }
 
     /// The arm's snapshot together with its version, read consistently:
@@ -168,19 +172,20 @@ impl SnapshotRegistry {
     /// version (their generation) so a publish invalidates them instead
     /// of replaying them against new weights.
     pub fn arm_versioned(&self, arm: usize) -> (Arc<ModelSnapshot>, u64) {
-        let guard = self.arms[arm.min(NUM_ARMS - 1)].read();
+        let guard = self.slot(arm);
         (guard.snapshot.clone(), guard.version)
     }
 
     /// Version currently served on `arm`.
     pub fn arm_version(&self, arm: usize) -> u64 {
-        self.arms[arm.min(NUM_ARMS - 1)].read().version
+        self.slot(arm).version
     }
 
     /// Publish a new snapshot to an arm; returns its new (globally
     /// unique) version number.
     pub fn publish(&self, arm: usize, snapshot: ModelSnapshot) -> u64 {
-        let slot = &mut *self.arms[arm.min(NUM_ARMS - 1)].write();
+        let slot =
+            &mut *self.arms[arm.min(NUM_ARMS - 1)].write().unwrap_or_else(PoisonError::into_inner);
         // Allocated under the write guard so versions are monotonic per
         // arm even under concurrent publishes.
         let version = self.next_version.fetch_add(1, Ordering::Relaxed);
@@ -209,8 +214,8 @@ impl SnapshotRegistry {
         }
         // Lock order: stable (0) before canary — promote and rollback
         // both take them in this order, so they cannot deadlock.
-        let mut stable = self.arms[0].write();
-        let winner = self.arms[arm].read();
+        let mut stable = self.arms[0].write().unwrap_or_else(PoisonError::into_inner);
+        let winner = self.arms[arm].read().unwrap_or_else(PoisonError::into_inner);
         stable.snapshot = winner.snapshot.clone();
         stable.version = winner.version;
         self.swaps.fetch_add(1, Ordering::Relaxed);
@@ -221,8 +226,8 @@ impl SnapshotRegistry {
     /// version)` sharing as promote, in the other direction).  Returns
     /// the version now served on the canary.
     pub fn rollback(&self) -> u64 {
-        let stable = self.arms[0].write();
-        let mut canary = self.arms[CANARY_ARM].write();
+        let stable = self.arms[0].write().unwrap_or_else(PoisonError::into_inner);
+        let mut canary = self.arms[CANARY_ARM].write().unwrap_or_else(PoisonError::into_inner);
         canary.snapshot = stable.snapshot.clone();
         canary.version = stable.version;
         self.swaps.fetch_add(1, Ordering::Relaxed);

@@ -20,9 +20,8 @@
 //! comparable to a long-lived stable arm's, which lifetime totals
 //! structurally are not.
 
+use std::sync::{PoisonError, RwLock};
 use std::time::Duration;
-
-use parking_lot::RwLock;
 
 use irs_obs::{Counter, Histogram, WindowedCounter};
 
@@ -225,7 +224,7 @@ impl TrafficSplit {
         let bits = splitmix64(self.seed ^ session_id.wrapping_mul(0x2545_f491_4f6c_dd1d));
         // 53 high bits → uniform f64 in [0, 1).
         let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
-        let weights = self.weights.read();
+        let weights = self.weights.read().unwrap_or_else(PoisonError::into_inner);
         let mut acc = 0.0;
         for (arm, &w) in weights.iter().enumerate() {
             acc += w;
@@ -259,13 +258,13 @@ impl TrafficSplit {
         for (slot, &w) in normalised.iter_mut().zip(weights) {
             *slot = w / max / sum;
         }
-        *self.weights.write() = normalised;
+        *self.weights.write().unwrap_or_else(PoisonError::into_inner) = normalised;
         Ok(normalised)
     }
 
     /// Current normalised weights.
     pub fn weights(&self) -> [f64; NUM_ARMS] {
-        *self.weights.read()
+        *self.weights.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The metric counters for `arm` (clamped into range).

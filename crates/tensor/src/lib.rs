@@ -55,8 +55,7 @@ mod tensor;
 pub use activation::{gelu, tanh};
 pub use graph::{BackwardCtx, Graph, Var, VarId};
 pub use tensor::{
-    gemm, matmul_into, matmul_into_packed, matmul_into_plain, set_kernel_threads, BatchLayout,
-    Operand, Tensor, TensorError, ViewMeta,
+    gemm, matmul_into, set_kernel_threads, BatchLayout, Operand, Tensor, TensorError, ViewMeta,
 };
 
 /// Numerically stable log-sum-exp over a slice.

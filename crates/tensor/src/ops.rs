@@ -41,20 +41,6 @@ fn batched_grad_layout(t: &Tensor, s: usize, rows: usize, rowlen: usize) -> Batc
     }
 }
 
-/// The split-heads addressing of a dense merged `[b, m, h·dk]` buffer:
-/// slice `s = b·h + h'` row `i` lives at the merged row's `h'`-th
-/// `dk`-chunk.
-fn merged_heads_layout(b: usize, heads: usize, m: usize, dk: usize) -> BatchLayout {
-    BatchLayout {
-        offset: 0,
-        outer: b,
-        inner: heads,
-        outer_stride: m * heads * dk,
-        inner_stride: dk,
-        row_stride: heads * dk,
-    }
-}
-
 #[allow(clippy::should_implement_trait)] // add/sub/mul/neg mirror tensor-library convention
 impl<'g> Var<'g> {
     // ------------------------------------------------------------------
@@ -389,7 +375,7 @@ impl<'g> Var<'g> {
                 let mut out = self.graph.alloc_zeroed(&[b, m, heads * dk]);
                 let mut hv = None;
                 let (lhs, rhs) = (Operand::dense(a.data(), bh, m, k), as_operand(vv, &mut hv));
-                let lo = merged_heads_layout(b, heads, m, dk);
+                let lo = BatchLayout::head_split(b, heads, m, dk);
                 gemm(lhs, rhs, out.data_mut(), &lo, m, k, dk);
                 out
             })
@@ -400,7 +386,7 @@ impl<'g> Var<'g> {
             let (bh, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
             let (b, dk) = (g.shape()[0], g.shape()[2] / heads);
             // Read the merged upstream gradient through the split layout.
-            let gs = Operand::new(g.data(), merged_heads_layout(b, heads, m, dk));
+            let gs = Operand::new(g.data(), BatchLayout::head_split(b, heads, m, dk));
             if ctx.parent_needs_grad(0) {
                 // dAttn += G_split @ Vᵀ
                 let mut hv = None;

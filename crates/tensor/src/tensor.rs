@@ -895,26 +895,6 @@ pub(crate) fn softmax_in_place(row: &mut [f32]) {
 /// `a`.
 const K_BLOCK: usize = 64;
 
-/// Panel width of the packed-B kernel: 8 `f32`s — two baseline-SSE2
-/// registers (rustc's default x86-64 target) or one AVX2 register, a
-/// width LLVM reliably vectorises without spilling.
-const NR: usize = 8;
-
-/// Row-tile height of the packed-B kernel: accumulators for `MR × NR`
-/// outputs live in registers across the whole `k` loop (`MR·NR/4 = 8`
-/// SSE2 registers, leaving half the file for the B panel row and the
-/// broadcast A element).
-const MR: usize = 4;
-
-/// Minimum B-operand element count (`k·n`) before the packed kernel wins:
-/// once B outgrows the fast cache levels (2¹⁷ `f32`s = 512 KiB), the
-/// plain kernel's repeated `K_BLOCK × n` tile streaming pays per row of A
-/// while the packed panels stay L1-resident per `MR` rows.  Below this
-/// the plain kernel runs at SIMD peak and the repack is pure overhead
-/// (measured: `cargo bench -p irs_bench --bench tensor_ops`,
-/// `matmul_kernel/*`).
-const PACK_MIN_KN: usize = 1 << 17;
-
 /// Minimum multiply-accumulate count before a matmul fans out over threads;
 /// below this the spawn/join overhead outweighs the parallel speed-up.
 const PAR_MIN_WORK: usize = 1 << 19;
@@ -971,219 +951,33 @@ fn parallelism_for(work: usize) -> usize {
 /// `out += a @ b` where `a` is `m×k`, `b` is `k×n`, `out` is `m×n` — the
 /// dense 2-D product, and what [`gemm`] runs for a single dense slice.
 ///
-/// Dispatch layer over two serial kernels, both thread-parallel over row
-/// blocks for large shapes (`std::thread::scope`, no dependencies):
-///
-/// * [`matmul_into_plain`] — `K_BLOCK`-tiled `i-k-j` loop, no setup cost;
-///   runs at SIMD peak while its B tiles stay cache-resident, so it is
-///   chosen for every model-sized shape.
-/// * [`matmul_into_packed`] — A and B repacked once per call (B into
-///   contiguous `NR`-wide block-major panels, A row blocks transposed to
-///   step-major), then an `MR × NR` register-tiled kernel streams the
-///   panels; chosen when the B operand outgrows the fast caches and the
-///   plain kernel turns memory-bound.
-///
-/// Every output element accumulates its `k` products in increasing-`k`
-/// order regardless of kernel, blocking or threading, so results are
-/// bitwise identical to the naive `i-k-j` loop — batched forwards
-/// reproduce scalar forwards exactly even when dispatch picks different
-/// kernels for the batched and scalar shapes.
+/// The `K_BLOCK`-tiled `i-k-j` loop (`matmul_block_l`), with row blocks
+/// fanned out over threads for large shapes (`std::thread::scope`, no
+/// dependencies).  Every output element accumulates its `k` products in
+/// increasing-`k` order regardless of blocking or threading, so results
+/// are bitwise identical to the naive `i-k-j` loop — batched forwards
+/// reproduce scalar forwards exactly.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if should_pack(m, k, n) {
-        matmul_into_packed(a, b, out, m, k, n);
-    } else {
-        matmul_into_plain(a, b, out, m, k, n);
-    }
-}
-
-/// True when the packed-B kernel's repack pass (`k·n` copies plus panel
-/// zero-padding) is amortised: enough rows to reuse each panel, at least
-/// one full panel of columns, and a B operand big enough that the plain
-/// kernel's tile streaming falls out of cache.
-fn should_pack(m: usize, k: usize, n: usize) -> bool {
-    m >= 2 * MR && n >= NR && k * n >= PACK_MIN_KN
-}
-
-/// Plain blocked `out += a @ b`: `K_BLOCK`-tiled serial kernel, rows fanned
-/// out over threads for large shapes.
-pub fn matmul_into_plain(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(b.len(), k * n);
-    fan_rows(a, out, m, k, n, |a, out, rows| {
-        matmul_block_l(a, 0, k, b, 0, n, out, 0, n, rows, k, n)
-    });
-}
-
-/// Packed-B `out += a @ b`: B is repacked once into block-major panels,
-/// then every row block streams the packed buffer with the register-tiled
-/// kernel.  Threads share the one packed copy.
-pub fn matmul_into_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(b.len(), k * n);
-    let packed = pack_b(b, k, n);
-    fan_rows(a, out, m, k, n, |a, out, rows| matmul_block_packed(a, &packed, out, rows, k, n));
-}
-
-/// Run `kernel(a_rows, out_rows, rows)` over the rows of an `m×k`·`k×n`
-/// product, fanned out over row blocks when the work warrants threads.
-/// Returns at once when `m`, `k` or `n` is 0.
-fn fan_rows(
-    a: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    kernel: impl Fn(&[f32], &mut [f32], usize) + Sync,
-) {
-    debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || k == 0 || n == 0 {
         return;
     }
     let threads = parallelism_for(m * k * n).min(m);
     if threads <= 1 {
-        return kernel(a, out, m);
+        return matmul_block_l(a, 0, k, b, 0, n, out, 0, n, m, k, n);
     }
     let rows_per = m.div_ceil(threads);
-    let kernel = &kernel;
     std::thread::scope(|scope| {
         for (chunk_idx, out_chunk) in out.chunks_mut(rows_per * n).enumerate() {
             let row0 = chunk_idx * rows_per;
             let rows = out_chunk.len() / n;
             let a_chunk = &a[row0 * k..(row0 + rows) * k];
-            scope.spawn(move || kernel(a_chunk, out_chunk, rows));
+            scope
+                .spawn(move || matmul_block_l(a_chunk, 0, k, b, 0, n, out_chunk, 0, n, rows, k, n));
         }
     });
-}
-
-/// Repack `b` (`k×n`, row-major) into `NR`-wide block-major panels: panel
-/// `pi` holds columns `pi·NR .. pi·NR+NR` contiguously per `k` row, so the
-/// packed kernel's inner loop reads `NR` consecutive floats instead of
-/// striding by `n`.  The ragged last panel is zero-padded — padding lanes
-/// multiply into accumulators that are never written back.
-fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let panels = n.div_ceil(NR);
-    let mut packed = vec![0.0f32; panels * k * NR];
-    for pi in 0..panels {
-        let j0 = pi * NR;
-        let w = NR.min(n - j0);
-        let base = pi * k * NR;
-        for p in 0..k {
-            packed[base + p * NR..base + p * NR + w]
-                .copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
-        }
-    }
-    packed
-}
-
-/// Register-tiled serial kernel over packed panels: for each `MR × NR`
-/// output tile the accumulators stay in registers across the whole `k`
-/// loop.  Per output element the `k` products are added in increasing
-/// order with the same skip-zero-`a` rule as [`matmul_block_l`], so results
-/// are bitwise identical to the plain kernel.
-///
-/// Full tiles and ragged remainder rows run through separate helpers with
-/// compile-time loop bounds — a runtime row count would stop LLVM from
-/// unrolling the row loop and keeping the accumulators in registers.
-fn matmul_block_packed(a: &[f32], packed: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let panels = n.div_ceil(NR);
-    // A row blocks transposed once to [k, MR] so each step's multipliers
-    // are contiguous; reused across every panel.
-    let full_tiles = m / MR;
-    let mut at = vec![0.0f32; full_tiles * k * MR];
-    for ti in 0..full_tiles {
-        let block = &mut at[ti * k * MR..(ti + 1) * k * MR];
-        for r in 0..MR {
-            for (p, chunk) in block.chunks_exact_mut(MR).enumerate() {
-                chunk[r] = a[(ti * MR + r) * k + p];
-            }
-        }
-    }
-    for pi in 0..panels {
-        let j0 = pi * NR;
-        let w = NR.min(n - j0);
-        let bp = &packed[pi * k * NR..(pi + 1) * k * NR];
-        let mut i = 0;
-        for ti in 0..full_tiles {
-            let g = TileGeom { i, k, n, j0, w };
-            packed_tile_full(&at[ti * k * MR..(ti + 1) * k * MR], bp, out, g);
-            i += MR;
-        }
-        while i < m {
-            packed_tile_row(a, bp, out, TileGeom { i, k, n, j0, w });
-            i += 1;
-        }
-    }
-}
-
-/// Geometry of one packed-kernel tile: first output row `i`, operand
-/// dims `k`/`n`, panel column origin `j0` and live panel width `w`.
-#[derive(Clone, Copy)]
-struct TileGeom {
-    i: usize,
-    k: usize,
-    n: usize,
-    j0: usize,
-    w: usize,
-}
-
-/// One full `MR × NR` tile of the packed kernel (fixed loop bounds).
-///
-/// `at` is the row block's A transposed to `[k, MR]` (see
-/// [`matmul_block_packed`]) so the `MR` multipliers of step `p` sit in one
-/// cache line.  The common all-multipliers-nonzero case runs one branch
-/// per `p` followed by straight-line `MR × NR` updates; the rare path
-/// applies the per-element skip-zero rule exactly like [`matmul_block_l`].
-#[inline]
-fn packed_tile_full(at: &[f32], bp: &[f32], out: &mut [f32], g: TileGeom) {
-    let TileGeom { i, k, n, j0, w } = g;
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, acc_row) in acc.iter_mut().enumerate() {
-        acc_row[..w].copy_from_slice(&out[(i + r) * n + j0..(i + r) * n + j0 + w]);
-    }
-    for p in 0..k {
-        let brow: &[f32; NR] = bp[p * NR..(p + 1) * NR].try_into().expect("panel row");
-        let arow: &[f32; MR] = at[p * MR..(p + 1) * MR].try_into().expect("a tile row");
-        if arow.iter().all(|&v| v != 0.0) {
-            for (acc_row, &a_ip) in acc.iter_mut().zip(arow) {
-                for (o, &b_pj) in acc_row.iter_mut().zip(brow) {
-                    *o += a_ip * b_pj;
-                }
-            }
-        } else {
-            for (acc_row, &a_ip) in acc.iter_mut().zip(arow) {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                for (o, &b_pj) in acc_row.iter_mut().zip(brow) {
-                    *o += a_ip * b_pj;
-                }
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        out[(i + r) * n + j0..(i + r) * n + j0 + w].copy_from_slice(&acc_row[..w]);
-    }
-}
-
-/// One remainder row of the packed kernel (`m % MR` trailing rows).
-#[inline]
-fn packed_tile_row(a: &[f32], bp: &[f32], out: &mut [f32], g: TileGeom) {
-    let TileGeom { i, k, n, j0, w } = g;
-    let mut acc = [0.0f32; NR];
-    acc[..w].copy_from_slice(&out[i * n + j0..i * n + j0 + w]);
-    for p in 0..k {
-        let a_ip = a[i * k + p];
-        if a_ip == 0.0 {
-            continue;
-        }
-        let brow: &[f32; NR] = bp[p * NR..(p + 1) * NR].try_into().expect("panel row");
-        for (o, &b_pj) in acc.iter_mut().zip(brow) {
-            *o += a_ip * b_pj;
-        }
-    }
-    out[i * n + j0..i * n + j0 + w].copy_from_slice(&acc[..w]);
 }
 
 // ---------------------------------------------------------------------
@@ -1224,6 +1018,21 @@ impl BatchLayout {
             outer_stride: rows * rowlen,
             inner_stride: 0,
             row_stride: rowlen,
+        }
+    }
+
+    /// The head-split view of a dense `[b, rows, heads·dk]` buffer as
+    /// `[b·heads, rows, dk]`: slice `s = b'·heads + h` row `i` is the
+    /// `h`-th `dk`-chunk of row `i` of batch element `b'`.  Reading
+    /// through it splits heads, and writing through it merges them.
+    pub fn head_split(b: usize, heads: usize, rows: usize, dk: usize) -> BatchLayout {
+        BatchLayout {
+            offset: 0,
+            outer: b,
+            inner: heads,
+            outer_stride: rows * heads * dk,
+            inner_stride: dk,
+            row_stride: heads * dk,
         }
     }
 
@@ -1283,8 +1092,13 @@ impl<'a> Operand<'a> {
 ///   elements, and staged above that;
 /// * a single slice whose operands are (or were staged) dense goes to the
 ///   row-parallel [`matmul_into`];
-/// * batches fan out over slices; a dense slice past the packing
-///   crossover runs the packed kernel, every other slice the plain loop.
+/// * batches fan out over slices, and every other slice runs the same
+///   `K_BLOCK`-tiled loop serially, walking strided rows in place.
+///
+/// There is one dense loop and no shape crossover.  A packed-B,
+/// register-tiled variant measured 4–6% faster only at `k·n ≥ 2¹⁷`; the
+/// widest product any shipped configuration builds, the output head at
+/// full MovieLens-like scale, has `k·n` = 32 × 3417 = 109,344.
 ///
 /// Every output element accumulates its `k` products in ascending order,
 /// skipping terms whose left element `op(a)[i, p]` is zero, so results
@@ -1342,18 +1156,11 @@ fn gemm_slice(
             return;
         }
         with_staged(a, s, m, k, |a, a0, ars| {
-            if ars != k || brs != n || ors != n {
-                matmul_block_l(a, a0, ars, b, b0, brs, out, o0, ors, m, k, n);
-                return;
-            }
-            let (a, b) = (&a[a0..a0 + m * k], &b[b0..b0 + k * n]);
-            let out = &mut out[o0..o0 + m * n];
-            if whole {
-                matmul_into(a, b, out, m, k, n);
-            } else if should_pack(m, k, n) {
-                matmul_block_packed(a, &pack_b(b, k, n), out, m, k, n);
+            if whole && ars == k && brs == n && ors == n {
+                let (a, b) = (&a[a0..a0 + m * k], &b[b0..b0 + k * n]);
+                matmul_into(a, b, &mut out[o0..o0 + m * n], m, k, n);
             } else {
-                matmul_block_l(a, 0, k, b, 0, n, out, 0, n, m, k, n);
+                matmul_block_l(a, a0, ars, b, b0, brs, out, o0, ors, m, k, n);
             }
         })
     });
@@ -1715,60 +1522,16 @@ mod tests {
     }
 
     #[test]
-    fn packed_matmul_is_bitwise_equal_to_plain_across_odd_shapes() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        // Shapes straddling the NR=8 panel edge and MR=4 row tile, plus
-        // ragged remainders in every dimension.
-        for &(m, k, n) in &[
-            (1, 7, 17),
-            (3, 16, 15),
-            (4, 33, 16),
-            (5, 64, 31),
-            (7, 65, 33),
-            (9, 130, 47),
-            (16, 8, 100),
-        ] {
-            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-            let mut plain = vec![0.0f32; m * n];
-            let mut packed = vec![0.0f32; m * n];
-            matmul_into_plain(a.data(), b.data(), &mut plain, m, k, n);
-            matmul_into_packed(a.data(), b.data(), &mut packed, m, k, n);
-            assert_eq!(plain, packed, "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn packed_matmul_accumulates_into_nonzero_out() {
-        // Both kernels share the `out += a @ b` contract.
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let (m, k, n) = (5, 9, 21);
-        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let seed: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.25).collect();
-        let mut plain = seed.clone();
-        let mut packed = seed;
-        matmul_into_plain(a.data(), b.data(), &mut plain, m, k, n);
-        matmul_into_packed(a.data(), b.data(), &mut packed, m, k, n);
-        assert_eq!(plain, packed);
-    }
-
-    #[test]
-    fn packed_matmul_skips_zero_a_like_plain() {
-        // The skip-zero rule must match or an inf/NaN in B would produce
-        // NaN in one kernel and not the other.
+    fn matmul_skips_zero_a_against_inf_in_b() {
+        // A zero in A skips its whole row of B, so an inf there never turns
+        // into a NaN (`0·inf`) in the output.
         let a = Tensor::from_vec(vec![0.0, 1.0, 2.0, 0.0, 0.0, 3.0], &[2, 3]);
         let mut b = Tensor::zeros(&[3, 20]);
         b.data_mut()[0] = f32::INFINITY; // row 0 of B, only ever hit by a=0.0
         let (m, k, n) = (2, 3, 20);
-        let mut plain = vec![0.0f32; m * n];
-        let mut packed = vec![0.0f32; m * n];
-        matmul_into_plain(a.data(), b.data(), &mut plain, m, k, n);
-        matmul_into_packed(a.data(), b.data(), &mut packed, m, k, n);
-        assert_eq!(plain, packed);
-        assert!(plain.iter().all(|v| v.is_finite()));
+        let mut out = vec![0.0f32; m * n];
+        matmul_into(a.data(), b.data(), &mut out, m, k, n);
+        assert!(out.iter().all(|v| v.is_finite()));
     }
 
     /// `out += op(a) · op(b)` for one dense 2-D slice.
@@ -1903,7 +1666,7 @@ mod tests {
         let no_cols = Tensor::zeros(&[4, 3]).matmul(&Tensor::zeros(&[3, 0]));
         let no_inner = Tensor::ones(&[4, 0]).matmul(&Tensor::ones(&[0, 5]));
         let no_batch_cols = Tensor::zeros(&[2, 4, 3]).bmm(&Tensor::zeros(&[2, 3, 0]));
-        matmul_into_packed(&[1.0; 12], &[], &mut [], 4, 3, 0);
+        matmul_into(&[1.0; 12], &[], &mut [], 4, 3, 0);
         let mut out = [0.0f32; 6];
         gemm(
             Operand::dense(&[], 2, 0, 4),
@@ -1958,28 +1721,6 @@ mod tests {
             );
             assert_eq!(single, want.data());
             assert_eq!(&batched[i * m * n..(i + 1) * m * n], want.data());
-        }
-    }
-
-    #[test]
-    fn packed_slices_inside_a_batch_match_the_plain_kernel() {
-        // k·n = 2¹⁷ with m ≥ 2·MR and n ≥ NR: every slice of the batch is
-        // past the packing crossover.
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
-        let (s, m, k, n) = (2, 9, 512, 256);
-        assert!(should_pack(m, k, n));
-        let a = Tensor::randn(&[s, m, k], 1.0, &mut rng);
-        let b = Tensor::randn(&[s, k, n], 1.0, &mut rng);
-        let mut got = vec![0.0f32; s * m * n];
-        let (lhs, rhs) = (Operand::dense(a.data(), s, m, k), Operand::dense(b.data(), s, k, n));
-        gemm(lhs, rhs, &mut got, &BatchLayout::dense(s, m, n), m, k, n);
-        for i in 0..s {
-            let mut want = vec![0.0f32; m * n];
-            let (a_i, b_i) =
-                (&a.data()[i * m * k..(i + 1) * m * k], &b.data()[i * k * n..(i + 1) * k * n]);
-            matmul_into_plain(a_i, b_i, &mut want, m, k, n);
-            assert_eq!(&got[i * m * n..(i + 1) * m * n], &want[..]);
         }
     }
 
@@ -2115,6 +1856,8 @@ mod tests {
                 row_stride: 8
             }
         );
+        // The constructor the attention paths call is the same address map.
+        assert_eq!(split, BatchLayout::head_split(2, 4, 6, 2));
         // Transposed rows are not contiguous: no layout, contiguous() fallback.
         assert!(x.transpose_last2_view().batch_layout().is_none());
     }
@@ -2153,14 +1896,7 @@ mod tests {
         let attn = Tensor::randn(&[b * h, t, t], 1.0, &mut rng);
         let vs = q.split_heads_view(h);
         // Write straight into merged [b, t, h*dk] row offsets.
-        let lo = BatchLayout {
-            offset: 0,
-            outer: b,
-            inner: h,
-            outer_stride: t * h * dk,
-            inner_stride: dk,
-            row_stride: h * dk,
-        };
+        let lo = BatchLayout::head_split(b, h, t, dk);
         let lhs = Operand::dense(attn.data(), b * h, t, t);
         let rhs = Operand::new(q.storage(), vs.batch_layout().unwrap());
         let mut got = vec![0.0f32; b * t * h * dk];
