@@ -177,16 +177,15 @@ impl MultiHeadAttention {
         assert_eq!(d, self.d, "model dim mismatch");
         let dk = self.d / self.heads;
 
-        // Head splits are zero-copy strided views; the NT score kernel and
-        // the fused context op walk the view layouts directly and their
-        // backward passes scatter into the projection outputs' root
-        // gradient buffers — bitwise identical to the historical
-        // split-copy → bmm → merge-copy chain, without the copies.
-        let q = self.wq.forward3d(ctx, x).split_heads_view(self.heads);
-        let k = self.wk.forward3d(ctx, x).split_heads_view(self.heads);
-        let v = self.wv.forward3d(ctx, x).split_heads_view(self.heads);
+        // The NT score kernel and the fused context op read the dense
+        // `[B, T, D]` projections' heads through head-split layouts and
+        // write their gradients back through them — bitwise identical to
+        // the split-copy → bmm → merge-copy chain, without the copies.
+        let q = self.wq.forward3d(ctx, x);
+        let k = self.wk.forward3d(ctx, x);
+        let v = self.wv.forward3d(ctx, x);
 
-        let mut scores = q.bmm_nt(k).mul_scalar(1.0 / (dk as f32).sqrt());
+        let mut scores = q.bmm_nt(k, self.heads).mul_scalar(1.0 / (dk as f32).sqrt());
         scores = match bias {
             AttnBias::None => scores,
             AttnBias::Base(base) => add_base(scores, base, b, self.heads),
@@ -480,12 +479,6 @@ pub fn key_padding_mask(t: usize, pad_lens: &[usize]) -> Tensor {
         }
     }
     m
-}
-
-/// Elementwise combination of two masks (sum of biases).
-pub fn combine_masks(a: &Tensor, b_mask: &Tensor) -> Tensor {
-    assert_eq!(a.shape(), b_mask.shape(), "mask shapes differ");
-    a.add(b_mask)
 }
 
 /// Expand a `[T,T]` mask to `[B,T,T]` and add a per-batch mask.

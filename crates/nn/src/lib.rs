@@ -51,7 +51,7 @@ mod transformer;
 
 pub use attention::{
     append_only_objective_mask, broadcast_then_add, causal_mask, causal_mask_with_objective,
-    combine_masks, key_padding_mask, AppendKey, AppendRowOut, AttnBias, MultiHeadAttention,
+    key_padding_mask, AppendKey, AppendRowOut, AttnBias, MultiHeadAttention,
 };
 pub use embedding::{Embedding, PositionalEncoding};
 pub use gru::{Gru, GruCell, GruInferScratch, GruInferWeights, GruStreamState};

@@ -15,7 +15,9 @@
 //! Loading is *architecture-checked*: [`ParamStore::load_parameters`]
 //! matches records by name against the already-registered parameters and
 //! refuses shape or coverage mismatches, so a file can only be loaded into
-//! the model architecture that produced it.
+//! the model architecture that produced it.  It also refuses NaN and ±inf
+//! weights, so a diverged snapshot, or one whose flipped bits made a
+//! weight non-finite, fails to load instead of serving non-finite scores.
 
 use std::io::{self, Read, Write};
 
@@ -58,8 +60,10 @@ impl ParamStore {
     }
 
     /// Load parameters into this (already constructed) store, matching
-    /// records by name.  Every registered parameter must be covered and
-    /// every record must match an existing parameter with the same shape.
+    /// records by name.  Every registered parameter must be covered, every
+    /// record must match an existing parameter with the same shape, and
+    /// every weight must be finite; anything else fails with
+    /// `InvalidData`.
     pub fn load_parameters<R: Read>(&mut self, mut reader: R) -> io::Result<()> {
         let mut raw = Vec::new();
         reader.read_to_end(&mut raw)?;
@@ -78,6 +82,9 @@ impl ParamStore {
                 .chunks_exact(4)
                 .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
                 .collect();
+            if let Some(i) = data.iter().position(|x| !x.is_finite()) {
+                return Err(err(format!("non-finite weight {} at index {i} of '{name}'", data[i])));
+            }
 
             let id = self
                 .ids()
@@ -199,7 +206,9 @@ impl IrspRecord {
 
 /// Read the header and per-parameter metadata of an IRSP file without
 /// materialising the weights — what a serving frontend reports about a
-/// snapshot before (or instead of) loading it into a model.
+/// snapshot before (or instead of) loading it into a model.  It skips the
+/// payloads, so a file whose weights hold NaN or ±inf summarises fine
+/// here and still fails [`ParamStore::load_parameters`].
 pub fn irsp_summary<R: Read>(mut reader: R) -> io::Result<Vec<IrspRecord>> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
@@ -318,6 +327,21 @@ mod tests {
             assert_eq!(summary.kind(), io::ErrorKind::InvalidData, "summary of input {i}");
             let load = sample_store(2).load_parameters(&file[..]).unwrap_err();
             assert_eq!(load.kind(), io::ErrorKind::InvalidData, "load of input {i}");
+        }
+
+        // Well-formed files whose payload holds a non-finite weight: the
+        // summary skips payloads and accepts them, the loader refuses them
+        // and names the parameter.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut store = sample_store(1);
+            let id = store.ids().nth(1).expect("layer.b");
+            store.value_mut(id).data_mut()[2] = bad;
+            let mut file = Vec::new();
+            store.save_parameters(&mut file).unwrap();
+            assert_eq!(irsp_summary(&file[..]).unwrap().len(), 3, "summary of {bad}");
+            let load = sample_store(2).load_parameters(&file[..]).unwrap_err();
+            assert_eq!(load.kind(), io::ErrorKind::InvalidData, "load of {bad}");
+            assert!(load.to_string().contains("'layer.b'"), "{load}");
         }
     }
 

@@ -148,12 +148,6 @@ impl SnapshotRegistry {
         self.arm(0)
     }
 
-    /// The stable snapshot together with its version (see
-    /// [`SnapshotRegistry::arm_versioned`]).
-    pub fn current_versioned(&self) -> (Arc<ModelSnapshot>, u64) {
-        self.arm_versioned(0)
-    }
-
     /// Read-lock the slot of `arm`, clamped into range.
     fn slot(&self, arm: usize) -> RwLockReadGuard<'_, ArmSlot> {
         self.arms[arm.min(NUM_ARMS - 1)].read().unwrap_or_else(PoisonError::into_inner)

@@ -37,16 +37,6 @@
 //! gradients: closures read everything through [`BackwardCtx`], whose
 //! state is rebuilt from the current step's node values.
 //!
-//! ## Strided views on the tape
-//!
-//! [`Graph::view_node`] registers a zero-copy view (see
-//! [`Tensor::transpose2d_view`] and friends) of an existing node without
-//! an op record.  A view shares its **root**'s gradient slot: backward
-//! closures that consume views accumulate through stride-aware kernels
-//! directly into the root-shaped buffer, which keeps accumulation order
-//! — and therefore bits — identical to the old materialise-then-scatter
-//! path.
-//!
 //! Custom operations (e.g. the IRN Personalized Impressionability Mask in
 //! `irs_nn`) can be defined outside this crate via [`Graph::custom_op`].
 
@@ -75,10 +65,10 @@ struct Pool {
 impl Pool {
     fn put(&mut self, t: Tensor) {
         let arc = t.into_storage();
-        // A buffer shared with a live view (or clone) retires when its
-        // *last* holder is drained — reset drains nodes in id order, so
-        // a root's storage is skipped here and pooled once its final
-        // view node retires.
+        // A buffer shared with a live clone (a reshape node shares its
+        // parent's storage) retires when its *last* holder is drained —
+        // reset drains nodes in id order, so a parent's storage is
+        // skipped here and pooled once its final sharer retires.
         if Arc::strong_count(&arc) == 1 && arc.capacity() > 0 {
             self.by_len.entry(arc.len()).or_default().push(arc);
         }
@@ -102,9 +92,6 @@ pub struct BackwardCtx<'a> {
     parent_ids: &'a [VarId],
     values: &'a [Tensor],
     needs_grad: &'a [bool],
-    /// Gradient-slot owner per node id (`roots[id] == id` except for
-    /// view nodes, which share their root's slot).
-    roots: &'a [VarId],
     out_id: VarId,
     grad_out: &'a Tensor,
     /// Gradient slots for ids `0..out_id` (parents are always earlier).
@@ -134,14 +121,6 @@ impl<'a> BackwardCtx<'a> {
         self.payload_scalar
     }
 
-    /// Value of the `i`-th parent's gradient-slot owner (the root of a
-    /// view chain; the parent itself for dense nodes).  Gradient buffers
-    /// produced by [`BackwardCtx::grad_mut`] / `accumulate_with` have
-    /// *this* tensor's shape.
-    pub fn root_value(&self, i: usize) -> &'a Tensor {
-        &self.values[self.roots[self.parent_ids[i]]]
-    }
-
     /// Value of the op output.
     pub fn out_value(&self) -> &'a Tensor {
         &self.values[self.out_id]
@@ -164,28 +143,21 @@ impl<'a> BackwardCtx<'a> {
         self.needs_grad[self.parent_ids[i]]
     }
 
-    /// A zeroed gradient tensor for the slot owner's shape, drawn from
-    /// the graph's buffer pool.
-    fn zeroed_like(&self, slot: VarId) -> Tensor {
-        let shape = self.values[slot].shape();
+    /// A zeroed gradient tensor for node `id`'s shape, drawn from the
+    /// graph's buffer pool.
+    fn zeroed_like(&self, id: VarId) -> Tensor {
+        let shape = self.values[id].shape();
         zeroed_from_pool(self.pool, shape)
     }
 
     /// Mutable gradient slot of the `i`-th parent, zero-initialised on
-    /// first access.  View parents resolve to their **root** slot, so
-    /// the buffer has the root's (dense) shape — stride-aware closures
-    /// scatter into it through the view's layout.
+    /// first access.
     pub fn grad_mut(&mut self, i: usize) -> &mut Tensor {
-        let pid = self.roots[self.parent_ids[i]];
+        let pid = self.parent_ids[i];
         if self.grads[pid].is_none() {
             self.grads[pid] = Some(self.zeroed_like(pid));
         }
         self.grads[pid].as_mut().expect("just initialised")
-    }
-
-    /// Accumulate `c * delta` into the `i`-th parent gradient.
-    pub fn accumulate_scaled(&mut self, i: usize, c: f32, delta: &Tensor) {
-        self.grad_mut(i).axpy(c, delta);
     }
 
     /// Accumulate `delta` into the `i`-th parent gradient.
@@ -226,7 +198,7 @@ impl<'a> BackwardCtx<'a> {
     /// produced, so kernels that add many products per element stay
     /// bitwise identical to the old two-pass code.
     pub fn accumulate_with(&mut self, i: usize, f: impl FnOnce(&mut [f32])) {
-        let pid = self.roots[self.parent_ids[i]];
+        let pid = self.parent_ids[i];
         let mut fresh = self.zeroed_like(pid);
         f(fresh.data_mut());
         match &mut self.grads[pid] {
@@ -288,8 +260,6 @@ struct GraphInner {
     values: Vec<Tensor>,
     grads: Vec<Option<Tensor>>,
     needs_grad: Vec<bool>,
-    /// Gradient-slot owner per node (`roots[id] == id` except views).
-    roots: Vec<VarId>,
     ops: Vec<OpRecord>,
     /// Ops of `ops` validated (replayed or recorded) this step; the
     /// replay cursor.  Only `ops[..ops_live]` may run in backward.
@@ -376,7 +346,6 @@ impl Graph {
             pool.put(t);
         }
         inner.needs_grad.clear();
-        inner.roots.clear();
         inner.ops_live = 0;
         inner.replaying = !inner.ops.is_empty();
     }
@@ -406,31 +375,6 @@ impl Graph {
         inner.values.push(value);
         inner.grads.push(None);
         inner.needs_grad.push(needs_grad);
-        inner.roots.push(id);
-        Var { graph: self, id }
-    }
-
-    /// Register a zero-copy view of `parent` as a new node **without an
-    /// op record**.  The view shares the parent's gradient slot (its
-    /// root's, for chained views): backward closures consuming this node
-    /// receive a root-shaped gradient buffer from
-    /// [`BackwardCtx::grad_mut`] / `accumulate_with` and scatter through
-    /// the view's layout, which preserves the accumulation order of the
-    /// old materialise-then-scatter path exactly.
-    ///
-    /// `value` must be a view (or zero-copy reshape) over the parent's
-    /// storage; this is the caller's contract, not checked here.
-    pub fn view_node(&self, parent: Var<'_>, value: Tensor) -> Var<'_> {
-        assert!(std::ptr::eq(parent.graph, self), "Var from a different Graph");
-        let mut inner = self.inner.borrow_mut();
-        assert!(parent.id < inner.values.len(), "unknown parent var id {}", parent.id);
-        let id = inner.values.len();
-        let root = inner.roots[parent.id];
-        let needs = inner.needs_grad[parent.id];
-        inner.values.push(value);
-        inner.grads.push(None);
-        inner.needs_grad.push(needs);
-        inner.roots.push(root);
         Var { graph: self, id }
     }
 
@@ -559,7 +503,6 @@ impl Graph {
         inner.values.push(value);
         inner.grads.push(None);
         inner.needs_grad.push(needs);
-        inner.roots.push(id);
         Var { graph: self, id }
     }
 
@@ -610,7 +553,6 @@ impl Graph {
                 parent_ids: &op.parents,
                 values: &inner.values,
                 needs_grad: &inner.needs_grad,
-                roots: &inner.roots,
                 out_id: op.out,
                 grad_out,
                 grads: before,
@@ -623,17 +565,14 @@ impl Graph {
     }
 
     /// Gradient accumulated at `var` (None if it never received one).
-    /// For a view node this is the gradient of its root (root-shaped).
     pub fn grad(&self, var: Var<'_>) -> Option<Tensor> {
-        let inner = self.inner.borrow();
-        inner.grads[inner.roots[var.id]].clone()
+        self.inner.borrow().grads[var.id].clone()
     }
 
     /// Run `f` with a borrow of the gradient at `var` (avoids a clone);
     /// `None` when no gradient was accumulated.
     pub fn with_grad<R>(&self, var: Var<'_>, f: impl FnOnce(&Tensor) -> R) -> Option<R> {
-        let inner = self.inner.borrow();
-        inner.grads[inner.roots[var.id]].as_ref().map(f)
+        self.inner.borrow().grads[var.id].as_ref().map(f)
     }
 
     /// Clone of the value stored at `var`.
@@ -910,48 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn view_nodes_share_the_root_gradient_slot() {
-        let g = Graph::new();
-        let x = g.var(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]), true);
-        let xt = g.view_node(x, g.value(x).transpose2d_view());
-        assert_eq!(xt.shape(), &[3, 2]);
-        // Consume the view: loss = Σ_ij t[i,j] * (i*2+j+1)
-        let w = Tensor::from_fn(&[3, 2], |i| (i + 1) as f32);
-        let y = g.push_op(&[xt], g.constant(w.clone()).value().scale(0.0), move |ctx| {
-            // d loss / d view[i,j] = w[i,j]; scatter through the view's
-            // transposed addressing into the root-shaped buffer.
-            let gx = ctx.grad_mut(0);
-            assert_eq!(gx.shape(), &[2, 3]); // root shape, not view shape
-            for i in 0..3 {
-                for j in 0..2 {
-                    gx.data_mut()[j * 3 + i] += (i * 2 + j + 1) as f32;
-                }
-            }
-        });
-        let w2 = g.constant(w);
-        let _ = w2; // w participates only through the closure above
-        g.backward(y.sum_all());
-        let dx = g.grad(x).unwrap();
-        // grad(view) resolves to the same root slot.
-        assert_eq!(g.grad(xt).unwrap().data(), dx.data());
-        assert_eq!(dx.data(), &[1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn view_storage_is_pooled_once_after_reset() {
-        let g = Graph::new();
-        let x = g.var(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]), false);
-        let base_ptr = g.with_value(x, |t| t.storage().as_ptr());
-        let _view = g.view_node(x, g.value(x).transpose2d_view());
-        g.reset();
-        // Shared storage retires exactly once; the next 4-element node
-        // gets the recycled buffer, and the pool is then empty.
-        let t = g.alloc_out(&[4]);
-        assert_eq!(t.storage().as_ptr(), base_ptr);
-        assert!(g.pool.borrow_mut().take(4).is_none());
-    }
-
-    #[test]
     fn accumulate_with_matches_two_pass_accumulation() {
         // Fresh slot: contribution becomes the gradient. Live slot: the
         // contribution is computed apart and added whole, like the old
@@ -978,22 +875,22 @@ mod tests {
     fn replayed_records_run_allocation_free_from_the_pool() {
         // Steady-state contract: once the recording step's working set
         // has retired into the pool, a replayed step — including
-        // payload-carrying records (gather, mul_scalar) and
-        // view-consuming kernels (split-head NT matmul) — must draw
-        // every value and gradient buffer from the pool.  The set of
-        // storage pointers cannot grow after step one.
+        // payload-carrying records (gather, mul_scalar) and head-split
+        // kernels (the NT attention-score matmul) — must draw every
+        // value and gradient buffer from the pool.  The set of storage
+        // pointers cannot grow after step one.
         let g = Graph::new();
         let table = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
         let step = |g: &Graph, idx: &[usize], c: f32| {
             let x = g.var_from(&table, true);
             let e = x.gather_rows(idx).mul_scalar(c);
-            let q = e.reshape(&[2, 2, 2]).split_heads_view(2);
-            let s = q.bmm_nt(q);
+            let q = e.reshape(&[2, 2, 2]);
+            let s = q.bmm_nt(q, 2);
             g.backward(s.sum_all());
             let inner = g.inner.borrow();
             let mut ptrs: Vec<usize> =
-                inner.values.iter().map(|t| t.storage().as_ptr() as usize).collect();
-            ptrs.extend(inner.grads.iter().flatten().map(|t| t.storage().as_ptr() as usize));
+                inner.values.iter().map(|t| t.data().as_ptr() as usize).collect();
+            ptrs.extend(inner.grads.iter().flatten().map(|t| t.data().as_ptr() as usize));
             ptrs
         };
         let first = step(&g, &[0, 2, 1, 1], 2.0);

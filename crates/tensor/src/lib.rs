@@ -35,7 +35,7 @@
 //!
 //! The engine is deliberately eager: every model in the workspace trains in
 //! seconds on CPU at the scales used by the experiment harness.  Every
-//! product — 2-D, batched, transposed, over strided views — is one
+//! product — 2-D, batched, transposed, over head-split layouts — is one
 //! [`gemm`] call over [`Operand`]s (storage, [`BatchLayout`], transpose
 //! flag); single dense products run the blocked [`matmul_into`].  Large
 //! shapes fan out over `std::thread::scope` threads, but each output
@@ -55,7 +55,7 @@ mod tensor;
 pub use activation::{gelu, tanh};
 pub use graph::{BackwardCtx, Graph, Var, VarId};
 pub use tensor::{
-    gemm, matmul_into, set_kernel_threads, BatchLayout, Operand, Tensor, TensorError, ViewMeta,
+    gemm, matmul_into, set_kernel_threads, BatchLayout, Operand, Tensor, TensorError,
 };
 
 /// Numerically stable log-sum-exp over a slice.

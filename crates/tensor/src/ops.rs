@@ -11,35 +11,7 @@
 //! multiplying.
 
 use crate::graph::Var;
-use crate::tensor::{gemm, BatchLayout, Operand, Tensor};
-
-/// Resolve a batched tensor as a [`gemm`] operand: its raw storage plus a
-/// [`BatchLayout`].  Dense tensors and layout-compatible views are
-/// zero-copy; an incompatible view (non-contiguous rows, e.g. a transpose
-/// view) falls back to a materialised contiguous copy parked in `holder`.
-fn as_operand<'t>(t: &'t Tensor, holder: &'t mut Option<Tensor>) -> Operand<'t> {
-    match t.batch_layout() {
-        Some(l) => Operand::new(t.storage(), l),
-        None => {
-            let c = holder.insert(t.contiguous());
-            let l = c.batch_layout().expect("contiguous 3-D tensor has a dense layout");
-            Operand::new(c.storage(), l)
-        }
-    }
-}
-
-/// Layout for writing a parent's gradient: a view parent's gradient
-/// buffer is **root**-shaped and is addressed through the view's own
-/// layout; a dense parent's buffer is parent-shaped `[s, rows, rowlen]`.
-/// Gradients cannot be staged into a temporary like values can, so a
-/// view parent here must be layout-compatible.
-fn batched_grad_layout(t: &Tensor, s: usize, rows: usize, rowlen: usize) -> BatchLayout {
-    if t.is_view() {
-        t.batch_layout().expect("gradient of a strided view requires a row-contiguous layout")
-    } else {
-        BatchLayout::dense(s, rows, rowlen)
-    }
-}
+use crate::tensor::{gemm, BatchLayout, Operand};
 
 #[allow(clippy::should_implement_trait)] // add/sub/mul/neg mirror tensor-library convention
 impl<'g> Var<'g> {
@@ -293,21 +265,19 @@ impl<'g> Var<'g> {
         })
     }
 
-    /// Batched `self @ otherᵀ` over the last two axes:
-    /// `[b,m,d] @ [b,n,d] -> [b,m,n]` — the attention score kernel, one
-    /// tape node instead of `other.transpose_last2()` + `bmm`, with
-    /// identical values and gradients (the forward stages the transpose
-    /// in kernel scratch; the backward needs no transposes at all —
-    /// `dA += G @ B` is a plain product and `dB += Gᵀ @ A` reads `G`
-    /// transposed in place).
+    /// Per-head attention scores `self · otherᵀ`: `[b,m,h·dk] ·
+    /// [b,n,h·dk]ᵀ -> [b·h,m,n]`, where output slice `b'·h + j` is the
+    /// product of head `j`'s `dk`-wide column blocks.  `heads = 1` is
+    /// the plain batched `[b,m,d] · [b,n,d]ᵀ`.
     ///
-    /// Both operands may be zero-copy strided views (head-split layouts):
-    /// [`gemm`] then walks the view's [`BatchLayout`] directly instead of
-    /// materialising, and gradients of view operands land straight in the
-    /// root tensor's gradient buffer through the same layout — bitwise
-    /// identical to the historical split-copy path because the
-    /// per-element accumulation order never changes.
-    pub fn bmm_nt(self, other: Var<'g>) -> Var<'g> {
+    /// Both operands are read in place through
+    /// [`BatchLayout::head_split`] — no split copy and no transpose node —
+    /// and the backward writes each gradient back through the same
+    /// layout: `dA += G · B` is a plain product and `dB += Gᵀ · A` reads
+    /// `G` transposed in place.  Values and gradients are bitwise equal
+    /// to splitting the heads by copy, transposing and multiplying: the
+    /// layout relocates rows and never reorders an accumulation.
+    pub fn bmm_nt(self, other: Var<'g>, heads: usize) -> Var<'g> {
         let v = self.graph.with_value(self, |a| {
             other.graph.with_value(other, |b| {
                 assert_eq!(a.ndim(), 3, "bmm_nt lhs must be 3-D, got {:?}", a.shape());
@@ -316,65 +286,66 @@ impl<'g> Var<'g> {
                 let (b2, n, d2) = (b.shape()[0], b.shape()[1], b.shape()[2]);
                 assert_eq!(bt, b2, "bmm_nt batch dims differ");
                 assert_eq!(d, d2, "bmm_nt inner dims differ: {:?} vs {:?}", a.shape(), b.shape());
-                let mut out = self.graph.alloc_zeroed(&[bt, m, n]);
-                let (mut ha, mut hb) = (None, None);
-                let (lhs, rhs) = (as_operand(a, &mut ha), as_operand(b, &mut hb).t());
-                gemm(lhs, rhs, out.data_mut(), &BatchLayout::dense(bt, m, n), m, d, n);
+                assert!(heads > 0 && d % heads == 0, "d={d} not divisible by heads={heads}");
+                let dk = d / heads;
+                let mut out = self.graph.alloc_zeroed(&[bt * heads, m, n]);
+                let lhs = Operand::new(a.data(), BatchLayout::head_split(bt, heads, m, dk));
+                let rhs = Operand::new(b.data(), BatchLayout::head_split(bt, heads, n, dk)).t();
+                let lo = BatchLayout::dense(bt * heads, m, n);
+                gemm(lhs, rhs, out.data_mut(), &lo, m, dk, n);
                 out
             })
         });
-        self.graph.push_op(&[self, other], v, |ctx| {
+        self.graph.push_op(&[self, other], v, move |ctx| {
             let g = ctx.grad_out();
-            let (bt, m, n) = (g.shape()[0], g.shape()[1], g.shape()[2]);
-            let go = Operand::dense(g.data(), bt, m, n);
+            let (bh, m, n) = (g.shape()[0], g.shape()[1], g.shape()[2]);
+            let (bt, dk) = (bh / heads, ctx.value(0).shape()[2] / heads);
+            let go = Operand::dense(g.data(), bh, m, n);
+            let (a_lo, b_lo) = (
+                BatchLayout::head_split(bt, heads, m, dk),
+                BatchLayout::head_split(bt, heads, n, dk),
+            );
             if ctx.parent_needs_grad(0) {
-                // dA += G @ B : [b,m,n] @ [b,n,d] — contraction ascending
-                // over n with the skip-zero rule on G, exactly what the
-                // transpose-node chain produced.
-                let b = ctx.value(1);
-                let d = b.shape()[2];
-                let mut hb = None;
-                let rhs = as_operand(b, &mut hb);
-                let lo = batched_grad_layout(ctx.value(0), bt, m, d);
-                ctx.accumulate_with(0, |out| gemm(go, rhs, out, &lo, m, n, d));
+                // dA += G @ B : [b·h,m,n] @ [b·h,n,dk] — contraction
+                // ascending over n with the skip-zero rule on G, exactly
+                // what the transpose-node chain produced.
+                let rhs = Operand::new(ctx.value(1).data(), b_lo);
+                ctx.accumulate_with(0, |out| gemm(go, rhs, out, &a_lo, m, n, dk));
             }
             if ctx.parent_needs_grad(1) {
-                // dB += Gᵀ @ A : [b,n,m] @ [b,m,d] — ascending over m, the
-                // transpose-node chain's dBᵀ with its skip-zero rule moved
-                // from A to G (bitwise equal for finite inputs, see `gemm`).
-                let a = ctx.value(0);
-                let d = a.shape()[2];
-                let mut ha = None;
-                let rhs = as_operand(a, &mut ha);
-                let lo = batched_grad_layout(ctx.value(1), bt, n, d);
-                ctx.accumulate_with(1, |out| gemm(go.t(), rhs, out, &lo, n, m, d));
+                // dB += Gᵀ @ A : [b·h,n,m] @ [b·h,m,dk] — ascending over m,
+                // the transpose-node chain's dBᵀ with its skip-zero rule
+                // moved from A to G (bitwise equal for finite inputs, see
+                // `gemm`).
+                let rhs = Operand::new(ctx.value(0).data(), a_lo);
+                ctx.accumulate_with(1, |out| gemm(go.t(), rhs, out, &b_lo, n, m, dk));
             }
         })
     }
 
-    /// Fused `attn @ v` + head merge: `[b·h, m, k] @ [b·h, k, dk] ->
-    /// [b, m, h·dk]`, writing each head's product rows directly at their
-    /// merged offsets — one tape node replacing `bmm` + `merge_heads`,
-    /// with `v` allowed to be a zero-copy head-split view.  Values and
-    /// gradients are bitwise identical to the historical chain: the
-    /// merged write only relocates rows, and the backward runs the same
-    /// transposed products the `bmm` backward runs, reading the merged
-    /// upstream gradient through the split layout instead of scattering
-    /// it into a copy first.
+    /// Fused `attn @ v` + head merge: `[b·h, m, k] @ [b, k, h·dk] ->
+    /// [b, m, h·dk]`, reading `v`'s heads through
+    /// [`BatchLayout::head_split`] and writing each head's product rows
+    /// directly at their merged offsets — one tape node replacing
+    /// `split_heads` + `bmm` + `merge_heads`.  Values and gradients are
+    /// bitwise identical to that chain: the layouts only relocate rows,
+    /// and the backward runs the same transposed products the `bmm`
+    /// backward runs, reading the merged upstream gradient through the
+    /// split layout instead of scattering it into a copy first.
     pub fn attn_bmm_merge(self, v: Var<'g>, heads: usize) -> Var<'g> {
         let val = self.graph.with_value(self, |a| {
             v.graph.with_value(v, |vv| {
                 assert_eq!(a.ndim(), 3, "attn_bmm_merge lhs must be 3-D, got {:?}", a.shape());
                 assert_eq!(vv.ndim(), 3, "attn_bmm_merge rhs must be 3-D, got {:?}", vv.shape());
                 let (bh, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-                let (b2, k2, dk) = (vv.shape()[0], vv.shape()[1], vv.shape()[2]);
-                assert_eq!(bh, b2, "attn_bmm_merge batch dims differ");
+                let (b, k2, d) = (vv.shape()[0], vv.shape()[1], vv.shape()[2]);
+                assert_eq!(bh, b * heads, "attn_bmm_merge: {bh} slices for {b}x{heads} heads");
                 assert_eq!(k, k2, "attn_bmm_merge inner dims differ");
-                assert_eq!(bh % heads, 0, "batch {bh} not divisible into {heads} heads");
-                let b = bh / heads;
-                let mut out = self.graph.alloc_zeroed(&[b, m, heads * dk]);
-                let mut hv = None;
-                let (lhs, rhs) = (Operand::dense(a.data(), bh, m, k), as_operand(vv, &mut hv));
+                assert!(heads > 0 && d % heads == 0, "d={d} not divisible by heads={heads}");
+                let dk = d / heads;
+                let mut out = self.graph.alloc_zeroed(&[b, m, d]);
+                let lhs = Operand::dense(a.data(), bh, m, k);
+                let rhs = Operand::new(vv.data(), BatchLayout::head_split(b, heads, k, dk));
                 let lo = BatchLayout::head_split(b, heads, m, dk);
                 gemm(lhs, rhs, out.data_mut(), &lo, m, k, dk);
                 out
@@ -385,21 +356,19 @@ impl<'g> Var<'g> {
             let a = ctx.value(0);
             let (bh, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
             let (b, dk) = (g.shape()[0], g.shape()[2] / heads);
+            let v_lo = BatchLayout::head_split(b, heads, k, dk);
             // Read the merged upstream gradient through the split layout.
             let gs = Operand::new(g.data(), BatchLayout::head_split(b, heads, m, dk));
             if ctx.parent_needs_grad(0) {
                 // dAttn += G_split @ Vᵀ
-                let mut hv = None;
-                let vt = as_operand(ctx.value(1), &mut hv).t();
+                let vt = Operand::new(ctx.value(1).data(), v_lo).t();
                 let lo = BatchLayout::dense(bh, m, k);
                 ctx.accumulate_with(0, |out| gemm(gs, vt, out, &lo, m, dk, k));
             }
             if ctx.parent_needs_grad(1) {
-                // dV += Attnᵀ @ G_split, written through v's own layout
-                // into the root gradient when v is a view.
+                // dV += Attnᵀ @ G_split, written through the split layout.
                 let at = Operand::dense(a.data(), bh, m, k).t();
-                let lo = batched_grad_layout(ctx.value(1), bh, k, dk);
-                ctx.accumulate_with(1, |out| gemm(at, gs, out, &lo, k, m, dk));
+                ctx.accumulate_with(1, |out| gemm(at, gs, out, &v_lo, k, m, dk));
             }
         })
     }
@@ -710,7 +679,7 @@ mod tests {
             let g = Graph::new();
             let av = g.var(a.clone(), true);
             let bv = g.var(b.clone(), true);
-            let y = if fused { av.bmm_nt(bv) } else { av.bmm(bv.transpose_last2()) };
+            let y = if fused { av.bmm_nt(bv, 1) } else { av.bmm(bv.transpose_last2()) };
             let loss = y.mul(y).sum_all();
             g.backward(loss);
             (y.value(), g.grad(av).unwrap(), g.grad(bv).unwrap())
@@ -850,22 +819,21 @@ mod tests {
 
     #[test]
     fn bmm_nt_on_split_head_views_matches_copying_path_bitwise() {
-        // Attention scores through zero-copy head-split views must equal the
-        // historical split-copy path exactly, values and input gradients.
+        // Attention scores read through head-split layouts must equal the
+        // split-copy path exactly, values and input gradients.
         let mut r = rng();
         let (b, t, d, h) = (2usize, 3usize, 8usize, 4usize);
         let q0 = Tensor::randn(&[b, t, d], 1.0, &mut r);
         let k0 = Tensor::randn(&[b, t, d], 1.0, &mut r);
-        let run = |views: bool| {
+        let run = |layouts: bool| {
             let g = Graph::new();
             let qv = g.var(q0.clone(), true);
             let kv = g.var(k0.clone(), true);
-            let (q, k) = if views {
-                (qv.split_heads_view(h), kv.split_heads_view(h))
+            let s = if layouts {
+                qv.bmm_nt(kv, h)
             } else {
-                (qv.split_heads(h), kv.split_heads(h))
+                qv.split_heads(h).bmm_nt(kv.split_heads(h), 1)
             };
-            let s = q.bmm_nt(k);
             let loss = s.mul(s).sum_all();
             g.backward(loss);
             (s.value(), g.grad(qv).unwrap(), g.grad(kv).unwrap())
@@ -881,8 +849,8 @@ mod tests {
     #[test]
     fn attn_bmm_merge_matches_bmm_then_merge_heads_bitwise() {
         // The fused context op (attn · V written straight into merged-head
-        // layout) must equal bmm → merge_heads exactly, with V arriving as a
-        // zero-copy view in the fused path.
+        // layout) must equal split_heads → bmm → merge_heads exactly, with
+        // V read through the head-split layout in the fused path.
         let mut r = rng();
         let (b, t, d, h) = (2usize, 4usize, 6usize, 3usize);
         let attn0 = Tensor::randn(&[b * h, t, t], 1.0, &mut r);
@@ -892,7 +860,7 @@ mod tests {
             let av = g.var(attn0.clone(), true);
             let xv = g.var(x0.clone(), true);
             let y = if fused {
-                av.attn_bmm_merge(xv.split_heads_view(h), h)
+                av.attn_bmm_merge(xv, h)
             } else {
                 av.bmm(xv.split_heads(h)).merge_heads(h)
             };
@@ -910,18 +878,16 @@ mod tests {
 
     #[test]
     fn view_attention_replays_bitwise_after_reset() {
-        // A full view-based attention core (split views → NT scores →
-        // softmax → fused context) replayed after reset must reuse the tape
-        // (no node growth) and reproduce identical bits.
+        // A full head-split attention core (NT scores → softmax → fused
+        // context, every operand read through layouts) replayed after
+        // reset must reuse the tape (no node growth) and reproduce
+        // identical bits.
         let g = Graph::new();
         let run = |g: &Graph| {
             let (b, t, d, h) = (2usize, 3usize, 8usize, 2usize);
             let x = g.var(Tensor::from_fn(&[b, t, d], |i| (i as f32 * 0.23).sin()), true);
-            let q = x.split_heads_view(h);
-            let k = x.split_heads_view(h);
-            let v = x.split_heads_view(h);
-            let s = q.bmm_nt(k).mul_scalar(0.5).softmax_last();
-            let y = s.attn_bmm_merge(v, h);
+            let s = x.bmm_nt(x, h).mul_scalar(0.5).softmax_last();
+            let y = s.attn_bmm_merge(x, h);
             let loss = y.mul(y).sum_all();
             g.backward(loss);
             (loss.item(), g.grad(x).unwrap())

@@ -10,11 +10,9 @@ use crate::graph::Var;
 impl<'g> Var<'g> {
     /// Reshape (element count must be preserved).  The forward pass is
     /// zero-copy: the output tensor shares the parent's storage via
-    /// [`crate::Tensor::reshaped`] (strided views materialise first).
-    ///
-    /// Unlike pure view nodes this keeps its op record so that graphs with
-    /// several consumers of the parent preserve the established gradient
-    /// accumulation order bit-for-bit.
+    /// [`crate::Tensor::reshaped`].  The node keeps its own gradient slot
+    /// and op record, so graphs with several consumers of the parent
+    /// preserve the established gradient accumulation order bit-for-bit.
     pub fn reshape(self, shape: &[usize]) -> Var<'g> {
         let v = self.graph.with_value(self, |a| {
             let numel: usize = shape.iter().product();
@@ -283,8 +281,10 @@ impl<'g> Var<'g> {
         })
     }
 
-    /// Split the model dimension into attention heads:
+    /// Split the model dimension into attention heads by copy:
     /// `[B, T, D] -> [B*H, T, D/H]` with head-major batch layout.
+    /// [`Var::bmm_nt`] and [`Var::attn_bmm_merge`] read the same heads in
+    /// place through [`crate::BatchLayout::head_split`].
     pub fn split_heads(self, heads: usize) -> Var<'g> {
         let shape = self.shape();
         assert_eq!(shape.len(), 3, "split_heads expects 3-D input, got {shape:?}");
@@ -319,19 +319,6 @@ impl<'g> Var<'g> {
                 }
             }
         })
-    }
-
-    /// Metadata-only variant of [`Var::split_heads`]: the output is a
-    /// zero-copy strided view `[B, T, D] -> [B*H, T, D/H]` over the
-    /// parent's buffer, registered as a view node (no op record, no
-    /// backward closure).  Consumers must be view-aware kernels
-    /// ([`Var::bmm_nt`], [`Var::attn_bmm_merge`]); their backward passes
-    /// scatter gradients straight into the parent's root gradient buffer
-    /// through the view layout, reproducing the old
-    /// split-copy-then-accumulate path bit-for-bit.
-    pub fn split_heads_view(self, heads: usize) -> Var<'g> {
-        let v = self.graph.with_value(self, |x| x.split_heads_view(heads));
-        self.graph.view_node(self, v)
     }
 
     /// Inverse of [`Var::split_heads`]: `[B*H, T, Dk] -> [B, T, H*Dk]`.

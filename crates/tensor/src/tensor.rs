@@ -1,5 +1,4 @@
-//! The dense tensor type, its strided zero-copy views and its
-//! non-differentiable kernels.
+//! The dense tensor type and its non-differentiable kernels.
 
 use std::fmt;
 use std::sync::Arc;
@@ -23,102 +22,33 @@ impl fmt::Display for TensorError {
 
 impl std::error::Error for TensorError {}
 
-/// Maximum number of `(len, stride)` iteration dims a view carries.  Four
-/// covers every layout the workspace produces (the head-split view factors
-/// its fused `B*H` axis into two dims); the array is fixed-size so view
-/// construction allocates nothing.
-pub const VIEW_MAX_DIMS: usize = 4;
-
-/// Strided-view metadata: the element at logical row-major position
-/// `(i_0, …, i_{n-1})` of the *iteration space* lives at storage index
-/// `offset + Σ i_k · stride_k`.
+/// A dense, row-major `f32` tensor over shared storage.
 ///
-/// The iteration space is the logical shape with at most one axis
-/// *factored*: `split_heads` views a `[B, T, D]` buffer as logical
-/// `[B*H, T, D/H]`, whose leading axis is not expressible as one
-/// `(len, stride)` pair — it factors into `(B, T·D)` × `(H, D/H)`.
-/// Iterating the dims in order therefore always yields elements in the
-/// logical row-major order of the view's shape.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct ViewMeta {
-    /// Storage index of the first logical element.
-    pub offset: usize,
-    /// Number of live entries in `dims`.
-    pub ndims: u8,
-    /// `(len, stride)` per iteration dim, outermost first.
-    pub dims: [(usize, usize); VIEW_MAX_DIMS],
-}
-
-impl ViewMeta {
-    fn iter_dims(&self) -> &[(usize, usize)] {
-        &self.dims[..self.ndims as usize]
-    }
-
-    /// True when iterating the dims visits storage indices
-    /// `offset, offset+1, …` without gaps (a pure reshape).
-    pub fn is_contiguous(&self) -> bool {
-        let mut expected = 1usize;
-        for &(len, stride) in self.iter_dims().iter().rev() {
-            if len > 1 && stride != expected {
-                return false;
-            }
-            expected *= len;
-        }
-        true
-    }
-}
-
-/// A row-major `f32` tensor over shared storage, optionally viewed through
-/// strides.
+/// The storage is exactly the logical elements in row-major order.
+/// Kernels that read a tensor in another layout — the attention products
+/// read a `[B, T, H·dk]` buffer as `[B·H, T, dk]` heads — address it
+/// through a [`BatchLayout`] instead of reshaping it.
 ///
-/// Most tensors are *dense*: the storage is exactly the logical elements in
-/// row-major order.  A tensor carrying a [`ViewMeta`] is a zero-copy
-/// *view* — transpose / permute / head-split reinterpretations of another
-/// tensor's buffer.  Dense accessors ([`Tensor::data`],
-/// [`Tensor::data_mut`]) panic on views so layout-unaware code fails loudly
-/// instead of misreading storage order; view consumers go through
-/// [`Tensor::storage`] + [`Tensor::view_meta`] (stride-walking kernels) or
-/// [`Tensor::contiguous`] (explicit materialisation).
-///
-/// Storage is reference-counted, so `clone` is cheap and views alias their
-/// parent; [`Tensor::data_mut`] is copy-on-write (`Arc::make_mut`), which
-/// preserves value semantics exactly.
+/// Storage is reference-counted, so `clone` is cheap; [`Tensor::data_mut`]
+/// is copy-on-write (`Arc::make_mut`), which preserves value semantics
+/// exactly.
 ///
 /// All kernels assert shape compatibility with descriptive messages; the
 /// workspace treats shape errors as programming bugs (like `ndarray` and
 /// most ML runtimes do) rather than recoverable conditions.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Arc<Vec<f32>>,
-    view: Option<ViewMeta>,
-}
-
-impl PartialEq for Tensor {
-    /// Logical equality: same shape and the same elements in logical
-    /// row-major order (a view equals its materialised counterpart).
-    fn eq(&self, other: &Tensor) -> bool {
-        if self.shape != other.shape {
-            return false;
-        }
-        match (&self.view, &other.view) {
-            (None, None) => self.data == other.data,
-            _ => self.iter_logical().eq(other.iter_logical()),
-        }
-    }
 }
 
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor{:?}", self.shape)?;
-        if self.view.is_some() {
-            write!(f, " (view)")?;
-        }
-        let n = numel(&self.shape);
-        if n <= 16 && self.view.is_none() {
+        if self.data.len() <= 16 {
             write!(f, " {:?}", &self.data[..])
         } else {
-            write!(f, " [{n} elements]")
+            write!(f, " [{} elements]", self.data.len())
         }
     }
 }
@@ -126,62 +56,7 @@ impl fmt::Debug for Tensor {
 /// Internal dense constructor (storage length must already match).
 fn dense(shape: Vec<usize>, data: Vec<f32>) -> Tensor {
     debug_assert_eq!(numel(&shape), data.len());
-    Tensor { shape, data: Arc::new(data), view: None }
-}
-
-/// Iterator over a tensor's elements in logical row-major order, walking
-/// the view strides (odometer over the iteration dims).
-struct LogicalIter<'a> {
-    data: &'a [f32],
-    dims: [(usize, usize); VIEW_MAX_DIMS],
-    ndims: usize,
-    idx: [usize; VIEW_MAX_DIMS],
-    pos: usize,
-    remaining: usize,
-}
-
-impl<'a> LogicalIter<'a> {
-    fn new(t: &'a Tensor) -> Self {
-        let (dims, ndims, offset) = match &t.view {
-            Some(m) => (m.dims, m.ndims as usize, m.offset),
-            None => {
-                // Dense: one flat run.
-                let mut dims = [(0usize, 0usize); VIEW_MAX_DIMS];
-                dims[0] = (t.data.len(), 1);
-                (dims, 1, 0)
-            }
-        };
-        let remaining = numel(&t.shape);
-        LogicalIter { data: &t.data, dims, ndims, idx: [0; VIEW_MAX_DIMS], pos: offset, remaining }
-    }
-}
-
-impl Iterator for LogicalIter<'_> {
-    type Item = f32;
-
-    fn next(&mut self) -> Option<f32> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let v = self.data[self.pos];
-        self.remaining -= 1;
-        // Odometer increment, innermost dim first.
-        for d in (0..self.ndims).rev() {
-            let (len, stride) = self.dims[d];
-            self.idx[d] += 1;
-            self.pos += stride;
-            if self.idx[d] < len {
-                break;
-            }
-            self.idx[d] = 0;
-            self.pos -= len * stride;
-        }
-        Some(v)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
+    Tensor { shape, data: Arc::new(data) }
 }
 
 impl Tensor {
@@ -234,7 +109,7 @@ impl Tensor {
             numel(shape),
             data.len()
         );
-        Tensor { shape: shape.to_vec(), data, view: None }
+        Tensor { shape: shape.to_vec(), data }
     }
 
     /// Build by evaluating `f` at each flat index.
@@ -274,14 +149,10 @@ impl Tensor {
         self.shape.len()
     }
 
-    /// Total element count (logical — for a view this is the view's size,
-    /// not the storage size).
+    /// Total element count.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.view {
-            None => self.data.len(),
-            Some(_) => numel(&self.shape),
-        }
+        self.data.len()
     }
 
     /// True if the tensor has zero elements.
@@ -290,52 +161,18 @@ impl Tensor {
         self.len() == 0
     }
 
-    /// True when this tensor is a strided view over another tensor's
-    /// storage (logical order ≠ storage order, or a sub-range).
-    #[inline]
-    pub fn is_view(&self) -> bool {
-        self.view.is_some()
-    }
-
-    /// The view metadata, when this tensor is a view.
-    #[inline]
-    pub fn view_meta(&self) -> Option<&ViewMeta> {
-        self.view.as_ref()
-    }
-
-    /// The raw shared storage buffer (full buffer, storage order).  Pair
-    /// with [`Tensor::view_meta`] in stride-walking kernels.
-    #[inline]
-    pub fn storage(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Immutable flat data of a **dense** tensor.  Panics on views: code
-    /// that is not stride-aware must materialise via
-    /// [`Tensor::contiguous`] first instead of silently misreading
-    /// storage order.
+    /// Immutable flat data in row-major order.
     #[inline]
     pub fn data(&self) -> &[f32] {
-        assert!(self.view.is_none(), "Tensor::data on a strided view (shape {:?})", self.shape);
         &self.data
     }
 
-    /// Mutable flat data of a **dense** tensor (copy-on-write when the
-    /// storage is shared with views or clones).  Panics on views.
+    /// Mutable flat data (copy-on-write when the storage is shared with
+    /// clones).
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
-        assert!(self.view.is_none(), "Tensor::data_mut on a strided view (shape {:?})", self.shape);
         let v: &mut Vec<f32> = Arc::make_mut(&mut self.data);
         v
-    }
-
-    /// Consume into the flat data vector (logical order; copies only when
-    /// the storage is shared or viewed).
-    pub fn into_vec(self) -> Vec<f32> {
-        match self.view {
-            Some(_) => self.contiguous().into_vec(),
-            None => Arc::try_unwrap(self.data).unwrap_or_else(|a| (*a).clone()),
-        }
     }
 
     /// Consume into the shared storage buffer (the graph pool recycles
@@ -344,73 +181,19 @@ impl Tensor {
         self.data
     }
 
-    /// Iterate the elements in logical row-major order (works for dense
-    /// tensors and views alike).
-    pub fn iter_logical(&self) -> impl Iterator<Item = f32> + '_ {
-        LogicalIter::new(self)
-    }
-
-    /// A dense tensor with this tensor's logical contents.  For dense
-    /// tensors this is a cheap storage-sharing clone; for views it gathers
-    /// the strided elements into `out` order — the explicit fallback for
-    /// layouts no kernel can walk.
-    pub fn contiguous(&self) -> Tensor {
-        match &self.view {
-            None => self.clone(),
-            Some(_) => {
-                let data: Vec<f32> = self.iter_logical().collect();
-                dense(self.shape.clone(), data)
-            }
-        }
-    }
-
-    /// Like [`Tensor::contiguous`], but gathering into a caller-provided
-    /// dense buffer (the graph pool's allocation-free materialisation
-    /// path).  `out` must have the view's logical element count.
-    pub fn contiguous_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.len(), "contiguous_into length mismatch");
-        match &self.view {
-            None => out.copy_from_slice(&self.data),
-            Some(_) => {
-                for (o, v) in out.iter_mut().zip(self.iter_logical()) {
-                    *o = v;
-                }
-            }
-        }
-    }
-
     /// The single value of a scalar tensor.
     pub fn item(&self) -> f32 {
         assert_eq!(self.len(), 1, "Tensor::item on non-scalar shape {:?}", self.shape);
-        match &self.view {
-            None => self.data[0],
-            Some(m) => self.data[m.offset],
-        }
+        self.data[0]
     }
 
-    /// Element at a multi-dimensional index (view-aware).
+    /// Element at a multi-dimensional index.
     pub fn at(&self, idx: &[usize]) -> f32 {
-        let flat = self.flat_index(idx);
-        match &self.view {
-            None => self.data[flat],
-            Some(m) => {
-                // Decompose the logical flat index over the iteration dims
-                // (they enumerate logical row-major order by construction).
-                let mut rem = flat;
-                let mut pos = m.offset;
-                for d in (0..m.ndims as usize).rev() {
-                    let (len, stride) = m.dims[d];
-                    pos += (rem % len) * stride;
-                    rem /= len;
-                }
-                self.data[pos]
-            }
-        }
+        self.data[self.flat_index(idx)]
     }
 
-    /// Mutable element at a multi-dimensional index (dense tensors only).
+    /// Mutable element at a multi-dimensional index.
     pub fn at_mut(&mut self, idx: &[usize]) -> &mut f32 {
-        assert!(self.view.is_none(), "Tensor::at_mut on a strided view");
         let i = self.flat_index(idx);
         &mut Arc::make_mut(&mut self.data)[i]
     }
@@ -425,8 +208,8 @@ impl Tensor {
         flat
     }
 
-    /// Reinterpret with a new shape of identical element count.  Dense
-    /// tensors share storage (zero-copy); views materialise first.
+    /// Reinterpret with a new shape of identical element count, sharing
+    /// storage (zero-copy).
     pub fn reshaped(&self, shape: &[usize]) -> Tensor {
         assert_eq!(
             numel(shape),
@@ -435,19 +218,11 @@ impl Tensor {
             self.shape,
             shape
         );
-        match &self.view {
-            None => Tensor { shape: shape.to_vec(), data: Arc::clone(&self.data), view: None },
-            Some(_) => {
-                let mut t = self.contiguous();
-                t.shape = shape.to_vec();
-                t
-            }
-        }
+        Tensor { shape: shape.to_vec(), data: Arc::clone(&self.data) }
     }
 
-    /// In-place reshape (no data movement; dense tensors only).
+    /// In-place reshape (no data movement).
     pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        assert!(self.view.is_none(), "reshape_in_place on a strided view");
         assert_eq!(
             numel(shape),
             self.data.len(),
@@ -456,145 +231,6 @@ impl Tensor {
             shape
         );
         self.shape = shape.to_vec();
-    }
-
-    // ------------------------------------------------------------------
-    // Zero-copy strided views
-    // ------------------------------------------------------------------
-
-    /// Zero-copy 2-D transpose view: `[m, n] -> [n, m]` over the same
-    /// storage.  No kernel walks this layout directly (the last axis is
-    /// strided); consumers call [`Tensor::contiguous`].
-    pub fn transpose2d_view(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2, "transpose2d_view needs 2-D, got {:?}", self.shape);
-        assert!(self.view.is_none(), "transpose2d_view of a view: materialise first");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut dims = [(0usize, 0usize); VIEW_MAX_DIMS];
-        dims[0] = (n, 1);
-        dims[1] = (m, n);
-        Tensor {
-            shape: vec![n, m],
-            data: Arc::clone(&self.data),
-            view: Some(ViewMeta { offset: 0, ndims: 2, dims }),
-        }
-    }
-
-    /// Zero-copy swap of the last two axes of a 3-D tensor:
-    /// `[b, m, n] -> [b, n, m]` over the same storage.
-    pub fn transpose_last2_view(&self) -> Tensor {
-        assert_eq!(self.ndim(), 3, "transpose_last2_view needs 3-D, got {:?}", self.shape);
-        assert!(self.view.is_none(), "transpose_last2_view of a view: materialise first");
-        let (b, m, n) = (self.shape[0], self.shape[1], self.shape[2]);
-        let mut dims = [(0usize, 0usize); VIEW_MAX_DIMS];
-        dims[0] = (b, m * n);
-        dims[1] = (n, 1);
-        dims[2] = (m, n);
-        Tensor {
-            shape: vec![b, n, m],
-            data: Arc::clone(&self.data),
-            view: Some(ViewMeta { offset: 0, ndims: 3, dims }),
-        }
-    }
-
-    /// Zero-copy axis permutation of a dense tensor (generalises the
-    /// transpose views; up to `VIEW_MAX_DIMS` axes).
-    pub fn permute_view(&self, perm: &[usize]) -> Tensor {
-        assert!(self.view.is_none(), "permute_view of a view: materialise first");
-        let nd = self.ndim();
-        assert!(nd <= VIEW_MAX_DIMS, "permute_view supports up to {VIEW_MAX_DIMS} dims");
-        assert_eq!(perm.len(), nd, "permutation rank mismatch");
-        let mut seen = [false; VIEW_MAX_DIMS];
-        for &p in perm {
-            assert!(p < nd && !seen[p], "invalid permutation {perm:?}");
-            seen[p] = true;
-        }
-        // Row-major strides of the source shape.
-        let mut src_strides = [0usize; VIEW_MAX_DIMS];
-        let mut acc = 1;
-        for d in (0..nd).rev() {
-            src_strides[d] = acc;
-            acc *= self.shape[d];
-        }
-        let mut dims = [(0usize, 0usize); VIEW_MAX_DIMS];
-        let mut shape = Vec::with_capacity(nd);
-        for (d, &p) in perm.iter().enumerate() {
-            dims[d] = (self.shape[p], src_strides[p]);
-            shape.push(self.shape[p]);
-        }
-        Tensor {
-            shape,
-            data: Arc::clone(&self.data),
-            view: Some(ViewMeta { offset: 0, ndims: nd as u8, dims }),
-        }
-    }
-
-    /// Zero-copy attention head split: view a dense `[B, T, D]` tensor as
-    /// `[B*H, T, D/H]` with head-major batch layout — the same logical
-    /// contents `Var::split_heads` materialises, without the copy.  The
-    /// leading logical axis factors into `(B, T·D) × (H, D/H)` iteration
-    /// dims; rows of the view stay contiguous (`D/H` floats), which is
-    /// what lets the attention kernels walk it directly.
-    pub fn split_heads_view(&self, heads: usize) -> Tensor {
-        assert_eq!(self.ndim(), 3, "split_heads_view needs 3-D, got {:?}", self.shape);
-        assert!(self.view.is_none(), "split_heads_view of a view: materialise first");
-        let (b, t, d) = (self.shape[0], self.shape[1], self.shape[2]);
-        assert!(heads > 0 && d % heads == 0, "d={d} not divisible by heads={heads}");
-        let dk = d / heads;
-        let mut dims = [(0usize, 0usize); VIEW_MAX_DIMS];
-        dims[0] = (b, t * d);
-        dims[1] = (heads, dk);
-        dims[2] = (t, d);
-        dims[3] = (dk, 1);
-        Tensor {
-            shape: vec![b * heads, t, dk],
-            data: Arc::clone(&self.data),
-            view: Some(ViewMeta { offset: 0, ndims: 4, dims }),
-        }
-    }
-
-    /// The batched-row layout of this tensor when a stride-walking kernel
-    /// can consume it: a 3-D `[S, rows, rowlen]` iteration space whose
-    /// rows are contiguous runs.  `None` for layouts with a strided last
-    /// axis (transpose views) — callers fall back to
-    /// [`Tensor::contiguous`].
-    pub fn batch_layout(&self) -> Option<BatchLayout> {
-        if self.ndim() != 3 {
-            return None;
-        }
-        let (s, rows, rowlen) = (self.shape[0], self.shape[1], self.shape[2]);
-        match &self.view {
-            None => Some(BatchLayout::dense(s, rows, rowlen)),
-            Some(m) => {
-                let d = m.iter_dims();
-                match d {
-                    // Head-split form: (B, os) (H, is) (rows, rs) (rowlen, 1).
-                    [(b, os), (h, is), (r, rs), (w, 1)]
-                        if *b * *h == s && *r == rows && *w == rowlen =>
-                    {
-                        Some(BatchLayout {
-                            offset: m.offset,
-                            outer: *b,
-                            inner: *h,
-                            outer_stride: *os,
-                            inner_stride: *is,
-                            row_stride: *rs,
-                        })
-                    }
-                    // Plain strided 3-D form with contiguous rows.
-                    [(b, os), (r, rs), (w, 1)] if *b == s && *r == rows && *w == rowlen => {
-                        Some(BatchLayout {
-                            offset: m.offset,
-                            outer: *b,
-                            inner: 1,
-                            outer_stride: *os,
-                            inner_stride: 0,
-                            row_stride: *rs,
-                        })
-                    }
-                    _ => None,
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -986,19 +622,17 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 
 /// Address map of a batched `[S, rows, rowlen]` operand whose rows are
 /// contiguous `rowlen`-float runs: row `i` of slice `s` starts at
-/// `offset + (s/inner)·outer_stride + (s%inner)·inner_stride + i·row_stride`.
+/// `(s/inner)·outer_stride + (s%inner)·inner_stride + i·row_stride`.
 ///
 /// * dense `[S, m, k]`: `inner = 1`, `outer_stride = m·k`, `row_stride = k`
-/// * head-split view of `[B, T, D]` as `[B·H, T, D/H]`: `outer = B`,
+/// * head-split `[B, T, D]` read as `[B·H, T, D/H]`: `outer = B`,
 ///   `inner = H`, `outer_stride = T·D`, `inner_stride = D/H`,
 ///   `row_stride = D` — slice `s = b·H + h`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchLayout {
-    /// Storage offset of slice 0, row 0.
-    pub offset: usize,
-    /// Outer slice-group count (`B` for head-split views, `S` for dense).
+    /// Outer slice-group count (`B` for head-split layouts, `S` for dense).
     pub outer: usize,
-    /// Slices per outer group (`H` for head-split views, 1 for dense).
+    /// Slices per outer group (`H` for head-split layouts, 1 for dense).
     pub inner: usize,
     /// Stride between outer groups.
     pub outer_stride: usize,
@@ -1012,7 +646,6 @@ impl BatchLayout {
     /// The layout of a dense `[s, rows, rowlen]` tensor.
     pub fn dense(s: usize, rows: usize, rowlen: usize) -> BatchLayout {
         BatchLayout {
-            offset: 0,
             outer: s,
             inner: 1,
             outer_stride: rows * rowlen,
@@ -1021,13 +654,12 @@ impl BatchLayout {
         }
     }
 
-    /// The head-split view of a dense `[b, rows, heads·dk]` buffer as
-    /// `[b·heads, rows, dk]`: slice `s = b'·heads + h` row `i` is the
-    /// `h`-th `dk`-chunk of row `i` of batch element `b'`.  Reading
-    /// through it splits heads, and writing through it merges them.
+    /// A dense `[b, rows, heads·dk]` buffer read as `[b·heads, rows, dk]`:
+    /// slice `s = b'·heads + h` row `i` is the `h`-th `dk`-chunk of row
+    /// `i` of batch element `b'`.  Reading through it splits heads, and
+    /// writing through it merges them.
     pub fn head_split(b: usize, heads: usize, rows: usize, dk: usize) -> BatchLayout {
         BatchLayout {
-            offset: 0,
             outer: b,
             inner: heads,
             outer_stride: rows * heads * dk,
@@ -1045,7 +677,7 @@ impl BatchLayout {
     /// Storage offset of row 0 of slice `s`.
     #[inline]
     fn slice_base(&self, s: usize) -> usize {
-        self.offset + (s / self.inner) * self.outer_stride + (s % self.inner) * self.inner_stride
+        (s / self.inner) * self.outer_stride + (s % self.inner) * self.inner_stride
     }
 }
 
@@ -1206,7 +838,7 @@ fn with_staged<R>(
 
 /// Fan `run(s, out_chunk, o_base)` over the slices of `lo`, in parallel
 /// over outer groups when the total multiply-accumulate count warrants it
-/// and the groups tile `out` exactly from offset 0 (so worker threads own
+/// and the groups tile `out` exactly (so worker threads own
 /// disjoint `chunks_mut(outer_stride)`); serial otherwise.  Slices are
 /// independent, so the fan never changes results.
 fn fan_slices(
@@ -1217,7 +849,7 @@ fn fan_slices(
 ) {
     let slices = lo.slices();
     let threads = parallelism_for(work_per_slice * slices).min(lo.outer);
-    if threads > 1 && lo.offset == 0 && lo.outer * lo.outer_stride == out.len() {
+    if threads > 1 && lo.outer * lo.outer_stride == out.len() {
         let groups_per = lo.outer.div_ceil(threads);
         let run = &run;
         std::thread::scope(|scope| {
@@ -1751,83 +1383,12 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    // -- strided views ------------------------------------------------
-
     #[test]
-    fn transpose_views_are_zero_copy_and_match_materialized() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let a = Tensor::randn(&[5, 7], 1.0, &mut rng);
-        let v = a.transpose2d_view();
-        assert!(v.is_view());
-        assert_eq!(v.storage().as_ptr(), a.storage().as_ptr());
-        assert_eq!(v.contiguous(), a.transpose2d());
-        assert_eq!(v, a.transpose2d());
-        let b = Tensor::randn(&[3, 4, 6], 1.0, &mut rng);
-        let bv = b.transpose_last2_view();
-        assert!(bv.is_view());
-        assert_eq!(bv.contiguous(), b.transpose_last2());
-    }
-
-    #[test]
-    fn permute_view_matches_index_shuffle() {
-        let t = Tensor::from_vec((0..24).map(|x| x as f32).collect(), &[2, 3, 4]);
-        let p = t.permute_view(&[2, 0, 1]);
-        assert_eq!(p.shape(), &[4, 2, 3]);
-        for i in 0..4 {
-            for j in 0..2 {
-                for k in 0..3 {
-                    assert_eq!(p.at(&[i, j, k]), t.at(&[j, k, i]));
-                }
-            }
-        }
-        let back = p.contiguous().permute_view(&[1, 2, 0]).contiguous();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn split_heads_view_matches_copying_split() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let (b, t, d, h) = (2, 5, 8, 4);
-        let x = Tensor::randn(&[b, t, d], 1.0, &mut rng);
-        let v = x.split_heads_view(h);
-        assert_eq!(v.shape(), &[b * h, t, d / h]);
-        assert!(v.is_view());
-        // Reference: the copying split used by the graph op.
-        let dk = d / h;
-        let mut want = vec![0.0f32; b * t * d];
-        for bi in 0..b {
-            for hh in 0..h {
-                for ti in 0..t {
-                    for p in 0..dk {
-                        want[((bi * h + hh) * t + ti) * dk + p] =
-                            x.data()[bi * t * d + ti * d + hh * dk + p];
-                    }
-                }
-            }
-        }
-        assert_eq!(v.contiguous().data(), &want[..]);
-    }
-
-    #[test]
-    fn view_into_vec_and_reshape_materialize() {
+    fn reshape_shares_storage() {
         let t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]);
-        let v = t.transpose2d_view();
-        assert_eq!(v.clone().into_vec(), vec![0.0, 3.0, 1.0, 4.0, 2.0, 5.0]);
-        let r = v.reshaped(&[3, 2]);
-        assert!(!r.is_view());
-        assert_eq!(r.data(), &[0.0, 3.0, 1.0, 4.0, 2.0, 5.0]);
-        // Dense reshape shares storage.
-        let r2 = t.reshaped(&[3, 2]);
-        assert_eq!(r2.storage().as_ptr(), t.storage().as_ptr());
-    }
-
-    #[test]
-    #[should_panic(expected = "Tensor::data on a strided view")]
-    fn data_on_view_panics() {
-        let t = Tensor::zeros(&[2, 3]);
-        let _ = t.transpose2d_view().data();
+        let r = t.reshaped(&[3, 2]);
+        assert_eq!(r.shape(), &[3, 2]);
+        assert_eq!(r.data().as_ptr(), t.data().as_ptr());
     }
 
     #[test]
@@ -1839,30 +1400,7 @@ mod tests {
         assert_eq!(b.data(), &[9.0, 2.0]);
     }
 
-    #[test]
-    fn batch_layout_derivation_covers_the_kernel_feeding_forms() {
-        let x = Tensor::zeros(&[2, 6, 8]);
-        let dense = x.batch_layout().unwrap();
-        assert_eq!(dense, BatchLayout::dense(2, 6, 8));
-        let split = x.split_heads_view(4).batch_layout().unwrap();
-        assert_eq!(
-            split,
-            BatchLayout {
-                offset: 0,
-                outer: 2,
-                inner: 4,
-                outer_stride: 48,
-                inner_stride: 2,
-                row_stride: 8
-            }
-        );
-        // The constructor the attention paths call is the same address map.
-        assert_eq!(split, BatchLayout::head_split(2, 4, 6, 2));
-        // Transposed rows are not contiguous: no layout, contiguous() fallback.
-        assert!(x.transpose_last2_view().batch_layout().is_none());
-    }
-
-    // -- gemm over strided layouts ----------------------------------
+    // -- gemm over head-split layouts ---------------------------------
 
     fn layout_fixture() -> (Tensor, Tensor, usize, usize, usize, usize) {
         use rand::SeedableRng;
@@ -1873,18 +1411,24 @@ mod tests {
         (q, k, b, h, t, d / h)
     }
 
+    /// The copying head split `[b, t, h·dk] -> [b·h, t, dk]` that
+    /// `Var::split_heads` runs: the reference every head-split layout
+    /// must address.
+    fn split_copy(x: &Tensor, h: usize) -> Tensor {
+        crate::graph::Graph::new().constant(x.clone()).split_heads(h).value()
+    }
+
     #[test]
     fn bmm_nt_layout_matches_dense_on_materialized_views() {
         let (q, k, b, h, t, dk) = layout_fixture();
-        let qs = q.split_heads_view(h);
-        let ks = k.split_heads_view(h);
+        let split = BatchLayout::head_split(b, h, t, dk);
         // Q · Kᵀ with both operands read through head-split layouts.
-        let lhs = Operand::new(q.storage(), qs.batch_layout().unwrap());
-        let rhs = Operand::new(k.storage(), ks.batch_layout().unwrap()).t();
+        let lhs = Operand::new(q.data(), split);
+        let rhs = Operand::new(k.data(), split).t();
         let mut got = vec![0.0f32; b * h * t * t];
         gemm(lhs, rhs, &mut got, &BatchLayout::dense(b * h, t, t), t, dk, t);
-        // Reference: dense bmm on materialized views and transpose.
-        let want = qs.contiguous().bmm(&ks.contiguous().transpose_last2());
+        // Reference: dense bmm on copied splits and transpose.
+        let want = split_copy(&q, h).bmm(&split_copy(&k, h).transpose_last2());
         assert_eq!(got, want.data());
     }
 
@@ -1894,15 +1438,15 @@ mod tests {
         let (q, _k, b, h, t, dk) = layout_fixture();
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let attn = Tensor::randn(&[b * h, t, t], 1.0, &mut rng);
-        let vs = q.split_heads_view(h);
-        // Write straight into merged [b, t, h*dk] row offsets.
+        // Read V and write straight into merged [b, t, h*dk] row offsets
+        // through the same head-split layout.
         let lo = BatchLayout::head_split(b, h, t, dk);
         let lhs = Operand::dense(attn.data(), b * h, t, t);
-        let rhs = Operand::new(q.storage(), vs.batch_layout().unwrap());
+        let rhs = Operand::new(q.data(), lo);
         let mut got = vec![0.0f32; b * t * h * dk];
         gemm(lhs, rhs, &mut got, &lo, t, t, dk);
         // Reference: dense bmm then copying merge.
-        let split_out = attn.bmm(&vs.contiguous());
+        let split_out = attn.bmm(&split_copy(&q, h));
         let mut want = vec![0.0f32; b * t * h * dk];
         for bi in 0..b {
             for hh in 0..h {
@@ -1923,15 +1467,14 @@ mod tests {
         let (q, _k, b, h, t, dk) = layout_fixture();
         let mut rng = rand::rngs::StdRng::seed_from_u64(37);
         let attn = Tensor::randn(&[b * h, t, t], 1.0, &mut rng);
-        // Attnᵀ · G, with G (a stand-in for the out-grad view) read
+        // Attnᵀ · G, with G (a stand-in for the merged out-grad) read
         // through the head-split layout.
-        let gs = q.split_heads_view(h);
         let lhs = Operand::dense(attn.data(), b * h, t, t).t();
-        let rhs = Operand::new(q.storage(), gs.batch_layout().unwrap());
+        let rhs = Operand::new(q.data(), BatchLayout::head_split(b, h, t, dk));
         let mut got = vec![0.0f32; b * h * t * dk];
         gemm(lhs, rhs, &mut got, &BatchLayout::dense(b * h, t, dk), t, t, dk);
-        // Reference: dense bmm on the materialized transpose and view.
-        let want = attn.transpose_last2().bmm(&gs.contiguous());
+        // Reference: dense bmm on the materialized transpose and split.
+        let want = attn.transpose_last2().bmm(&split_copy(&q, h));
         assert_eq!(got, want.data());
     }
 
@@ -1941,16 +1484,15 @@ mod tests {
         let (q, _k, b, h, t, dk) = layout_fixture();
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let g = Tensor::randn(&[b * h, t, t], 1.0, &mut rng);
-        let qs = q.split_heads_view(h);
         let lo = BatchLayout::dense(b * h, t, dk);
         // dB += Gᵀ · A, with A read through the head-split layout.
         let gt = Operand::dense(g.data(), b * h, t, t).t();
-        let a = Operand::new(q.storage(), qs.batch_layout().unwrap());
+        let a = Operand::new(q.data(), BatchLayout::head_split(b, h, t, dk));
         let mut got = vec![0.0f32; b * h * t * dk];
         gemm(gt, a, &mut got, &lo, t, t, dk);
         // Reference: the scatter the fused bmm_nt backward ran on dense
         // slices (ascending i, skip-zero on a).
-        let a_dense = qs.contiguous();
+        let a_dense = split_copy(&q, h);
         let mut want = vec![0.0f32; b * h * t * dk];
         for s in 0..b * h {
             let a_s = &a_dense.data()[s * t * dk..(s + 1) * t * dk];
@@ -1974,9 +1516,9 @@ mod tests {
     #[test]
     fn layout_kernels_are_thread_count_invariant() {
         let (q, k, b, h, t, dk) = layout_fixture();
-        let (qs, ks) = (q.split_heads_view(h), k.split_heads_view(h));
-        let lhs = Operand::new(q.storage(), qs.batch_layout().unwrap());
-        let rhs = Operand::new(k.storage(), ks.batch_layout().unwrap()).t();
+        let split = BatchLayout::head_split(b, h, t, dk);
+        let lhs = Operand::new(q.data(), split);
+        let rhs = Operand::new(k.data(), split).t();
         let lo = BatchLayout::dense(b * h, t, t);
         let run = || {
             let mut out = vec![0.0f32; b * h * t * t];

@@ -14,10 +14,10 @@ fn close(a: f32, b: f32, tol: f32) -> bool {
     (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
 }
 
-/// A batched `[B·H, rows, cols]` matrix stored for `gemm`: dense, or as a
-/// head-split view — slice `b·H + h` is the `h`-th `cols`-wide column
-/// block of a `[B, rows, H·cols + 1]` buffer.  The pad column and the
-/// element before the view hold NaN, so a stray read shows in the bits.
+/// A batched `[B·H, rows, cols]` matrix stored for `gemm`: dense, or
+/// head-split — slice `b·H + h` is the `h`-th `cols`-wide column block of
+/// a `[B, rows, H·cols + 1]` buffer.  The pad column holds NaN, so a stray
+/// read shows in the bits.
 struct Stored {
     data: Vec<f32>,
     layout: BatchLayout,
@@ -27,13 +27,12 @@ impl Stored {
     fn new(
         (outer, heads): (usize, usize),
         (rows, cols): (usize, usize),
-        view: bool,
+        split: bool,
         val: impl Fn(usize) -> f32,
     ) -> Stored {
-        let layout = if view {
+        let layout = if split {
             let w = heads * cols + 1;
             BatchLayout {
-                offset: 1,
                 outer,
                 inner: heads,
                 outer_stride: rows * w,
@@ -43,7 +42,7 @@ impl Stored {
         } else {
             BatchLayout::dense(outer * heads, rows, cols)
         };
-        let len = layout.offset + layout.outer * layout.outer_stride;
+        let len = layout.outer * layout.outer_stride;
         let mut st = Stored { data: vec![f32::NAN; len], layout };
         for s in 0..outer * heads {
             for r in 0..rows {
@@ -58,11 +57,7 @@ impl Stored {
 
     fn addr(&self, s: usize, r: usize, c: usize) -> usize {
         let l = &self.layout;
-        l.offset
-            + (s / l.inner) * l.outer_stride
-            + (s % l.inner) * l.inner_stride
-            + r * l.row_stride
-            + c
+        (s / l.inner) * l.outer_stride + (s % l.inner) * l.inner_stride + r * l.row_stride + c
     }
 
     fn at(&self, s: usize, r: usize, c: usize) -> f32 {
@@ -209,7 +204,7 @@ proptest! {
     fn gemm_bitwise_equals_naive_over_layouts(
         (outer, heads) in (1usize..4, 1usize..3),
         (m, k, n) in (1usize..70, 1usize..70, 1usize..70),
-        (trans, a_view, b_view, merged) in (0usize..3, 0usize..2, 0usize..2, 0usize..2),
+        (trans, a_split, b_split, merged) in (0usize..3, 0usize..2, 0usize..2, 0usize..2),
         seed in 0u32..1000,
     ) {
         let (ta, tb) = (trans == 1, trans == 2);
@@ -218,18 +213,11 @@ proptest! {
         let a_val = |i: usize| if zero_every_fifth(i) { 0.0 } else { sin(i, 0.11) };
         let a_dims = if ta { (k, m) } else { (m, k) };
         let b_dims = if tb { (n, k) } else { (k, n) };
-        let a = Stored::new((outer, heads), a_dims, a_view == 1, a_val);
-        let b = Stored::new((outer, heads), b_dims, b_view == 1, |i| sin(i, 0.29));
+        let a = Stored::new((outer, heads), a_dims, a_split == 1, a_val);
+        let b = Stored::new((outer, heads), b_dims, b_split == 1, |i| sin(i, 0.29));
         let slices = outer * heads;
         let lo = if merged == 1 {
-            BatchLayout {
-                offset: 0,
-                outer,
-                inner: heads,
-                outer_stride: m * heads * n,
-                inner_stride: n,
-                row_stride: heads * n,
-            }
+            BatchLayout::head_split(outer, heads, m, n)
         } else {
             BatchLayout::dense(slices, m, n)
         };
@@ -257,99 +245,17 @@ proptest! {
             let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(
                 &got, &want,
-                "S={outer}x{heads} {m}x{k}x{n} trans={trans} views={a_view}{b_view} \
+                "S={outer}x{heads} {m}x{k}x{n} trans={trans} splits={a_split}{b_split} \
                  merged={merged} threads={threads:?}"
             );
         }
     }
 
-    /// Metadata-only transpose views materialise to exactly the bits the
-    /// copying transpose produces, for arbitrary (including degenerate)
-    /// shapes.
-    #[test]
-    fn transpose_view_bitwise_equals_copy(m in 1usize..12, n in 1usize..12, seed in 0u32..1000) {
-        let val = |i: usize| ((i as f32 * 0.41 + seed as f32 * 0.13).sin()) * 2.0;
-        let x = Tensor::from_vec((0..m * n).map(val).collect(), &[m, n]);
-        let view = x.transpose2d_view().contiguous();
-        let copy = x.transpose2d();
-        prop_assert_eq!(view.shape(), copy.shape());
-        for (a, b) in view.data().iter().zip(copy.data()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// Every rank-3 permutation view addresses exactly the element the
-    /// naive index shuffle produces — the stride arithmetic is the whole
-    /// claim, so the comparison is bitwise.
-    #[test]
-    fn permute_view_bitwise_equals_index_shuffle(
-        a in 1usize..5, b in 1usize..5, c in 1usize..5,
-        perm_idx in 0usize..6,
-        seed in 0u32..1000,
-    ) {
-        const PERMS: [[usize; 3]; 6] =
-            [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-        let perm = PERMS[perm_idx];
-        let val = |i: usize| ((i as f32 * 0.23 + seed as f32 * 0.17).sin()) * 2.0;
-        let x = Tensor::from_vec((0..a * b * c).map(val).collect(), &[a, b, c]);
-        let p = x.permute_view(&perm);
-        let shape = [a, b, c];
-        prop_assert_eq!(p.shape(), &[shape[perm[0]], shape[perm[1]], shape[perm[2]]]);
-        for i in 0..shape[perm[0]] {
-            for j in 0..shape[perm[1]] {
-                for k in 0..shape[perm[2]] {
-                    let mut src = [0usize; 3];
-                    src[perm[0]] = i;
-                    src[perm[1]] = j;
-                    src[perm[2]] = k;
-                    prop_assert_eq!(p.at(&[i, j, k]).to_bits(), x.at(&src).to_bits());
-                }
-            }
-        }
-        // Materialising the view round-trips the exact bits too.
-        let dense = p.contiguous();
-        for i in 0..shape[perm[0]] {
-            for j in 0..shape[perm[1]] {
-                for k in 0..shape[perm[2]] {
-                    prop_assert_eq!(dense.at(&[i, j, k]).to_bits(), p.at(&[i, j, k]).to_bits());
-                }
-            }
-        }
-    }
-
-    /// The head-split view materialises to exactly the `[B,T,D] ->
-    /// [B*H,T,D/H]` gather the copying op runs, over random widths and
-    /// head counts.
-    #[test]
-    fn split_heads_view_bitwise_equals_materialized(
-        b in 1usize..4, t in 1usize..5, heads in 1usize..4, dk in 1usize..4,
-        seed in 0u32..1000,
-    ) {
-        let d = heads * dk;
-        let val = |i: usize| ((i as f32 * 0.31 + seed as f32 * 0.07).sin()) * 2.0;
-        let x = Tensor::from_vec((0..b * t * d).map(val).collect(), &[b, t, d]);
-        let view = x.split_heads_view(heads);
-        prop_assert_eq!(view.shape(), &[b * heads, t, dk]);
-        let dense = view.contiguous();
-        for bi in 0..b {
-            for h in 0..heads {
-                for ti in 0..t {
-                    for f in 0..dk {
-                        let expect = x.at(&[bi, ti, h * dk + f]);
-                        prop_assert_eq!(
-                            dense.at(&[bi * heads + h, ti, f]).to_bits(),
-                            expect.to_bits()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Attention-shaped NT matmul over head-split *views* is bitwise equal
-    /// to the same computation over head-split *copies* — values and input
-    /// gradients — across random shapes.  This is the invariant that lets
-    /// `MultiHeadAttention` swap copies for views without moving a bit.
+    /// Attention-shaped NT matmul reading heads through head-split
+    /// *layouts* is bitwise equal to the same computation over head-split
+    /// *copies* — values and input gradients — across random shapes.
+    /// This is the invariant that lets `MultiHeadAttention` skip the
+    /// copies without moving a bit.
     #[test]
     fn bmm_nt_view_path_bitwise_equals_copy_path(
         b in 1usize..3, t in 1usize..5, heads in 1usize..3, dk in 1usize..4,
@@ -358,15 +264,14 @@ proptest! {
         let d = heads * dk;
         let val = |i: usize| ((i as f32 * 0.19 + seed as f32 * 0.23).sin()) * 2.0;
         let x = Tensor::from_vec((0..b * t * d).map(val).collect(), &[b, t, d]);
-        let run = |use_view: bool| -> (Vec<u32>, Vec<u32>) {
+        let run = |layouts: bool| -> (Vec<u32>, Vec<u32>) {
             let g = Graph::new();
             let v = g.var(x.clone(), true);
-            let (q, k) = if use_view {
-                (v.split_heads_view(heads), v.split_heads_view(heads))
+            let scores = if layouts {
+                v.bmm_nt(v, heads)
             } else {
-                (v.split_heads(heads), v.split_heads(heads))
+                v.split_heads(heads).bmm_nt(v.split_heads(heads), 1)
             };
-            let scores = q.bmm_nt(k);
             let loss = scores.mul(scores).sum_all();
             g.backward(loss);
             let value: Vec<u32> = scores.value().data().iter().map(|f| f.to_bits()).collect();
@@ -374,10 +279,10 @@ proptest! {
                 g.grad(v).unwrap().data().iter().map(|f| f.to_bits()).collect();
             (value, grad)
         };
-        let (val_view, grad_view) = run(true);
+        let (val_split, grad_split) = run(true);
         let (val_copy, grad_copy) = run(false);
-        prop_assert_eq!(val_view, val_copy);
-        prop_assert_eq!(grad_view, grad_copy);
+        prop_assert_eq!(val_split, val_copy);
+        prop_assert_eq!(grad_split, grad_copy);
     }
 
     /// Layer-norm output is invariant to input shift and scale (with unit
@@ -404,7 +309,7 @@ proptest! {
 }
 
 proptest! {
-    // Heavier end-to-end cases: a full (gather -> view attention ->
+    // Heavier end-to-end cases: a full (gather -> head-split attention ->
     // cross-entropy) training step per case, so fewer cases.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -433,16 +338,13 @@ proptest! {
         let targets = |step: usize| -> Vec<usize> {
             (0..b * t).map(|j| pick(step + 100, j, d)).collect()
         };
-        // One full training step: embed -> view attention -> CE loss.
+        // One full training step: embed -> head-split attention -> CE loss.
         let step = |g: &Graph, indices: &[usize], tg: &[usize]| -> (u32, Vec<u32>) {
             let w = g.var(table.clone(), true);
             let x = w.gather_rows(indices).reshape(&[b, t, d]);
-            let q = x.split_heads_view(heads);
-            let k = x.split_heads_view(heads);
-            let v = x.split_heads_view(heads);
-            let scores = q.bmm_nt(k).mul_scalar(1.0 / (dk as f32).sqrt());
+            let scores = x.bmm_nt(x, heads).mul_scalar(1.0 / (dk as f32).sqrt());
             let attn = scores.softmax_last();
-            let out = attn.attn_bmm_merge(v, heads);
+            let out = attn.attn_bmm_merge(x, heads);
             let loss = out.reshape(&[b * t, d]).cross_entropy(tg, usize::MAX);
             g.backward(loss);
             let dw: Vec<u32> = g.grad(w).unwrap().data().iter().map(|f| f.to_bits()).collect();
