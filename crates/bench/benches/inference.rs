@@ -8,8 +8,8 @@
 //! `speedup`, and `IRS_BENCH_ASSERT=1` turns the ≥3× acceptance threshold
 //! into a hard failure for local verification.
 //!
-//! CI runs this in smoke mode (`CRITERION_SAMPLES` capped) with
-//! `CRITERION_JSON=BENCH_inference.json` so the perf trajectory
+//! CI runs this in smoke mode (`CRITERION_SAMPLES=5`: five samples per
+//! entry) with `CRITERION_JSON=BENCH_inference.json` so the perf trajectory
 //! accumulates as a build artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -391,9 +391,10 @@ impl Harness {
     /// All users advance in lockstep through the batched Algorithm 1
     /// ([`generate_influence_paths`]): model-backed recommenders pay one
     /// batched forward per path step instead of one forward per user per
-    /// step.  On multi-core hosts the test users are additionally fanned
-    /// out over threads (one lockstep batch per thread — trained models
-    /// are `Sync`; gradient accumulators sit behind a `Mutex`).
+    /// step.  On multi-core hosts the test users are additionally split
+    /// over cores by [`irs_tensor::fan_out`] (one lockstep batch per
+    /// worker, whose kernels then run serially — trained models are
+    /// `Sync`; gradient accumulators sit behind a `Mutex`).
     pub fn generate_paths<R: InfluenceRecommender + Sync + ?Sized>(
         &self,
         rec: &R,
@@ -405,35 +406,16 @@ impl Harness {
             .zip(&objectives)
             .map(|(tc, &obj)| PathRequest { user: tc.user, history: &tc.history, objective: obj })
             .collect();
-        // Cap the outer fan-out so each worker keeps a lockstep batch of
-        // at least MIN_LOCKSTEP_BATCH users — the batched forward (itself
-        // thread-parallel for large shapes) is where the throughput comes
-        // from, and tiny per-worker batches would forfeit it while
-        // oversubscribing cores with nested kernel threads.
+        // Each worker keeps a lockstep batch of at least MIN_LOCKSTEP_BATCH
+        // users: the batched forward is where the throughput comes from,
+        // and tiny per-worker batches would forfeit it.
         const MIN_LOCKSTEP_BATCH: usize = 16;
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(requests.len().div_ceil(MIN_LOCKSTEP_BATCH));
-        let paths: Vec<Vec<ItemId>> = if threads <= 1 || requests.len() < 4 {
-            generate_influence_paths(rec, &requests, m)
-        } else {
-            let chunk = requests.len().div_ceil(threads);
-            let mut results: Vec<Vec<Vec<ItemId>>> = Vec::new();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for reqs in requests.chunks(chunk) {
-                    handles.push(scope.spawn(move || generate_influence_paths(rec, reqs, m)));
-                }
-                for h in handles {
-                    results.push(h.join().expect("path-generation worker panicked"));
-                }
-            });
-            results.into_iter().flatten().collect()
-        };
+        let paths = irs_tensor::fan_out(requests.len(), MIN_LOCKSTEP_BATCH, |users| {
+            generate_influence_paths(rec, &requests[users], m)
+        });
         test.iter()
             .zip(&objectives)
-            .zip(paths)
+            .zip(paths.into_iter().flatten())
             .map(|((tc, &obj), path)| PathRecord {
                 user: tc.user,
                 history: tc.history.clone(),
@@ -480,5 +462,23 @@ mod tests {
         for p in &paths {
             assert!(p.path.len() <= 5);
         }
+    }
+
+    #[test]
+    fn paths_do_not_depend_on_the_worker_count() {
+        let mut h = Harness::build(HarnessConfig::quick(DatasetKind::MovielensLike));
+        h.config.test_users = 0;
+        let mut cfg = h.irn_config();
+        cfg.train.epochs = 1;
+        let irn = h.train_irn_with(&cfg);
+        let paths_with = |workers| {
+            irs_tensor::set_kernel_threads(Some(workers));
+            let paths = h.generate_paths(&irn, h.config.m);
+            irs_tensor::set_kernel_threads(None);
+            paths.into_iter().map(|p| (p.user, p.history, p.objective, p.path)).collect::<Vec<_>>()
+        };
+        let (serial, fanned) = (paths_with(1), paths_with(3));
+        assert!(serial.len() >= 3 * 16, "{} users cannot fill three workers", serial.len());
+        assert_eq!(serial, fanned);
     }
 }

@@ -38,11 +38,12 @@
 //! product — 2-D, batched, transposed, over head-split layouts — is one
 //! [`gemm`] call over [`Operand`]s (storage, [`BatchLayout`], transpose
 //! flag); single dense products run the blocked [`matmul_into`].  Large
-//! shapes fan out over `std::thread::scope` threads, but each output
-//! element always accumulates in the same order — determinism (fixed
-//! seeds => bitwise identical results, regardless of core count or
-//! batching) is a design requirement for the paper-reproduction
-//! experiments.
+//! shapes fan out over `std::thread::scope` threads, except on the
+//! workers of [`fan_out`], which splits batch-level work over the cores
+//! and runs its kernels serially.  Each output element always
+//! accumulates in the same order — determinism (fixed seeds => bitwise
+//! identical results, regardless of core count or batching) is a design
+//! requirement for the paper-reproduction experiments.
 
 mod activation;
 pub mod gradcheck;
@@ -55,7 +56,7 @@ mod tensor;
 pub use activation::{gelu, tanh};
 pub use graph::{BackwardCtx, Graph, Var, VarId};
 pub use tensor::{
-    gemm, matmul_into, set_kernel_threads, BatchLayout, Operand, Tensor, TensorError,
+    fan_out, gemm, matmul_into, set_kernel_threads, BatchLayout, Operand, Tensor, TensorError,
 };
 
 /// Numerically stable log-sum-exp over a slice.

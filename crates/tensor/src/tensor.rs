@@ -550,11 +550,12 @@ const TN_DIRECT_MAX_A: usize = 64 * 1024;
 static KERNEL_THREADS: std::sync::atomic::AtomicUsize =
     std::sync::atomic::AtomicUsize::new(usize::MAX);
 
-/// Force every tensor kernel to fan out over exactly `n` worker threads.
-/// `None` restores the default: the `IRS_KERNEL_THREADS` environment
-/// variable when it is set, automatic selection otherwise.  Results are
-/// bitwise identical either way; this is a scheduling knob, not a
-/// numerics knob.
+/// Force every tensor kernel to fan out over exactly `n` worker threads,
+/// and every [`fan_out`] over at most `n` (kernels on a `fan_out` worker
+/// stay serial).  `None` restores the default: the `IRS_KERNEL_THREADS`
+/// environment variable when it is set, automatic selection otherwise.
+/// Results are bitwise identical either way; this is a scheduling knob,
+/// not a numerics knob.
 pub fn set_kernel_threads(n: Option<usize>) {
     KERNEL_THREADS.store(n.unwrap_or(usize::MAX), std::sync::atomic::Ordering::Relaxed);
 }
@@ -569,19 +570,97 @@ fn kernel_threads_override() -> usize {
     }
 }
 
-/// Worker-thread count for a kernel of `work` multiply-accumulates: 1 when
-/// the problem is small or the host is single-core, otherwise capped so
-/// every thread keeps at least `PAR_MIN_WORK` MACs.
-fn parallelism_for(work: usize) -> usize {
-    let forced = kernel_threads_override();
-    if forced > 0 {
-        return forced.min(16);
-    }
-    if work < 2 * PAR_MIN_WORK {
+thread_local! {
+    /// Set on [`fan_out`] workers: the batch level holds the cores, so
+    /// nothing started on this thread fans out again.
+    static FAN_OUT_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The thread count the policy allows on this thread: 1 on a [`fan_out`]
+/// worker, otherwise the override's count or, when there is none,
+/// `automatic()`; never more than 16.
+fn allowed_threads(automatic: impl FnOnce() -> usize) -> usize {
+    if FAN_OUT_WORKER.get() {
         return 1;
     }
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    cores.min(work / PAR_MIN_WORK).min(16)
+    match kernel_threads_override() {
+        0 => automatic(),
+        forced => forced,
+    }
+    .min(16)
+}
+
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Worker-thread count for a kernel of `work` multiply-accumulates: when
+/// not forced, 1 when the problem is small or the host is single-core,
+/// otherwise capped so every thread keeps at least `PAR_MIN_WORK` MACs.
+fn parallelism_for(work: usize) -> usize {
+    allowed_threads(|| if work < 2 * PAR_MIN_WORK { 1 } else { cores().min(work / PAR_MIN_WORK) })
+}
+
+/// Run `f` over contiguous ranges that split `0..n`, one scoped worker
+/// per range, and return the results in range order.
+///
+/// The batch level of the thread policy: each range holds at least `min`
+/// items (a single range holds all `n` when `n < 2·min`), and there are
+/// at most as many ranges as cores, or as the kernel-thread override
+/// forces (`set_kernel_threads`, `IRS_KERNEL_THREADS`).  On the workers
+/// every kernel runs serially and a nested `fan_out` runs its one range
+/// in place, so a fan-out that holds the cores never starts threads
+/// beneath it.  A single range runs on the calling thread, whose kernels
+/// keep their own fan-out.
+pub fn fan_out<T: Send>(
+    n: usize,
+    min: usize,
+    f: impl Fn(std::ops::Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    run_ranges(split_ranges(n, min, allowed_threads(cores)), f)
+}
+
+/// `0..n` cut into `(n / min).clamp(1, workers)` contiguous ranges in
+/// order, their lengths differing by at most one, so each holds at least
+/// `min` items whenever `n ≥ min`.
+fn split_ranges(n: usize, min: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
+    let parts = (n / min.max(1)).clamp(1, workers);
+    let (len, longer) = (n / parts, n % parts);
+    let mut start = 0;
+    (0..parts)
+        .map(|i| {
+            let end = start + len + usize::from(i < longer);
+            std::mem::replace(&mut start, end)..end
+        })
+        .collect()
+}
+
+/// [`fan_out`]'s workers: `f` on every range, one scoped thread each
+/// (none for a single range), results in range order.  A worker's panic
+/// resumes on the calling thread.
+fn run_ranges<T: Send>(
+    ranges: Vec<std::ops::Range<usize>>,
+    f: impl Fn(std::ops::Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    if ranges.len() <= 1 {
+        return ranges.into_iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = ranges
+            .into_iter()
+            .map(|range| {
+                scope.spawn(move || {
+                    FAN_OUT_WORKER.set(true);
+                    f(range)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 /// `out += a @ b` where `a` is `m×k`, `b` is `k×n`, `out` is `m×n` — the
@@ -1323,6 +1402,40 @@ mod tests {
         assert_eq!(no_inner.data(), &[0.0; 20]);
         assert_eq!(no_batch_cols.shape(), &[2, 4, 0]);
         assert_eq!(out, [0.0; 6]);
+    }
+
+    #[test]
+    fn fan_out_ranges_cover_the_batch_in_order() {
+        for n in 0..100 {
+            for min in 0..12 {
+                for workers in 1..6 {
+                    let ranges = split_ranges(n, min, workers);
+                    assert_eq!(ranges.len(), (n / min.max(1)).clamp(1, workers));
+                    assert_eq!(ranges[0].start, 0);
+                    assert_eq!(ranges[ranges.len() - 1].end, n);
+                    assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+                    let lens = || ranges.iter().map(|r| r.len());
+                    assert!(lens().max().unwrap() - lens().min().unwrap() <= 1);
+                    if n >= min {
+                        assert!(lens().all(|len| len >= min), "{ranges:?} of {n}, min {min}");
+                    }
+                    assert_eq!(run_ranges(ranges.clone(), |r| r), ranges);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_on_fan_out_workers_run_serially_even_when_forced() {
+        set_kernel_threads(Some(3));
+        let seen = run_ranges(vec![0..1, 1..2, 2..3], |r| {
+            (r.start, parallelism_for(usize::MAX), fan_out(64, 1, |inner| inner.len()))
+        });
+        set_kernel_threads(None);
+        assert_eq!(seen, [(0, 1, vec![64]), (1, 1, vec![64]), (2, 1, vec![64])]);
+        // A single range runs on the calling thread, which is no worker.
+        let calling_thread = run_ranges(split_ranges(4, 4, 3), |_| FAN_OUT_WORKER.get());
+        assert_eq!(calling_thread, [false]);
     }
 
     #[test]

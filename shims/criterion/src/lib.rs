@@ -95,13 +95,15 @@ impl Bencher {
     }
 }
 
+/// The sample count of a benchmark whose group asks for `default`: a
+/// `CRITERION_SAMPLES` value that parses as a count replaces it (CI's
+/// smoke mode sets 5 for trend data; a comparison may set more).
+fn sample_count(env: Option<&str>, default: usize) -> usize {
+    env.and_then(|v| v.parse::<usize>().ok()).map_or(default, |n| n.max(1))
+}
+
 fn run_one(label: &str, samples: usize, f: &mut dyn FnMut(&mut Bencher)) {
-    // Smoke mode: `CRITERION_SAMPLES` caps every benchmark's sample count
-    // (CI runs the suite for trend data, not statistical confidence).
-    let samples = match std::env::var("CRITERION_SAMPLES").ok().and_then(|v| v.parse().ok()) {
-        Some(cap) => samples.min(std::cmp::max(cap, 1)),
-        None => samples,
-    };
+    let samples = sample_count(std::env::var("CRITERION_SAMPLES").ok().as_deref(), samples);
     let mut b = Bencher { samples, median_ns: f64::NAN };
     f(&mut b);
     let ns = b.median_ns;
@@ -215,6 +217,15 @@ mod tests {
     fn bench_function_reports() {
         let mut c = Criterion::default();
         c.sample_size(3).bench_function("noop", |b| b.iter(|| 1 + 1));
+    }
+
+    #[test]
+    fn criterion_samples_sets_the_sample_count() {
+        assert_eq!(sample_count(None, 15), 15);
+        assert_eq!(sample_count(Some("5"), 15), 5);
+        assert_eq!(sample_count(Some("60"), 15), 60);
+        assert_eq!(sample_count(Some("0"), 10), 1);
+        assert_eq!(sample_count(Some("many"), 10), 10);
     }
 
     #[test]
