@@ -38,9 +38,10 @@
 //! product — 2-D, batched, transposed, over head-split layouts — is one
 //! [`gemm`] call over [`Operand`]s (storage, [`BatchLayout`], transpose
 //! flag); single dense products run the blocked [`matmul_into`].  Large
-//! shapes fan out over `std::thread::scope` threads, except on the
-//! workers of [`fan_out`], which splits batch-level work over the cores
-//! and runs its kernels serially.  Each output element always
+//! shapes fan out over `std::thread::scope` threads, the calling thread
+//! computing one share, except inside a [`fan_out`], which splits
+//! batch-level work over the cores the same way and runs its kernels
+//! serially.  Each output element always
 //! accumulates in the same order — determinism (fixed seeds => bitwise
 //! identical results, regardless of core count or batching) is a design
 //! requirement for the paper-reproduction experiments.

@@ -531,8 +531,9 @@ pub(crate) fn softmax_in_place(row: &mut [f32]) {
 /// `a`.
 const K_BLOCK: usize = 64;
 
-/// Minimum multiply-accumulate count before a matmul fans out over threads;
-/// below this the spawn/join overhead outweighs the parallel speed-up.
+/// Multiply-accumulates every kernel thread keeps at least: a kernel fans
+/// out from `2 · PAR_MIN_WORK` = 2²⁰ MACs, since below that the
+/// spawn/join overhead outweighs the parallel speed-up.
 const PAR_MIN_WORK: usize = 1 << 19;
 
 /// Largest transposed-`a` slice (elements) [`gemm`] reads in place: while
@@ -550,12 +551,12 @@ const TN_DIRECT_MAX_A: usize = 64 * 1024;
 static KERNEL_THREADS: std::sync::atomic::AtomicUsize =
     std::sync::atomic::AtomicUsize::new(usize::MAX);
 
-/// Force every tensor kernel to fan out over exactly `n` worker threads,
-/// and every [`fan_out`] over at most `n` (kernels on a `fan_out` worker
-/// stay serial).  `None` restores the default: the `IRS_KERNEL_THREADS`
-/// environment variable when it is set, automatic selection otherwise.
-/// Results are bitwise identical either way; this is a scheduling knob,
-/// not a numerics knob.
+/// Force every tensor kernel to fan out over exactly `n` threads, the
+/// calling thread among them, and every [`fan_out`] over at most `n`
+/// (kernels inside a `fan_out` stay serial).  `None` restores the
+/// default: the `IRS_KERNEL_THREADS` environment variable when it is set,
+/// automatic selection otherwise.  Results are bitwise identical either
+/// way; this is a scheduling knob, not a numerics knob.
 pub fn set_kernel_threads(n: Option<usize>) {
     KERNEL_THREADS.store(n.unwrap_or(usize::MAX), std::sync::atomic::Ordering::Relaxed);
 }
@@ -571,14 +572,31 @@ fn kernel_threads_override() -> usize {
 }
 
 thread_local! {
-    /// Set on [`fan_out`] workers: the batch level holds the cores, so
-    /// nothing started on this thread fans out again.
+    /// Set while a thread computes a part of a multi-part fan-out, the
+    /// calling thread's own part included: the fan holds the cores, so
+    /// nothing started in a part fans out again.
     static FAN_OUT_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// The thread count the policy allows on this thread: 1 on a [`fan_out`]
-/// worker, otherwise the override's count or, when there is none,
-/// `automatic()`; never more than 16.
+/// Flags this thread as a fan-out worker until dropped, then restores the
+/// flag it found, also when the part unwinds.
+struct WorkerFlag(bool);
+
+impl WorkerFlag {
+    fn set() -> WorkerFlag {
+        WorkerFlag(FAN_OUT_WORKER.replace(true))
+    }
+}
+
+impl Drop for WorkerFlag {
+    fn drop(&mut self) {
+        FAN_OUT_WORKER.set(self.0);
+    }
+}
+
+/// The thread count the policy allows on this thread: 1 while it computes
+/// a part of a fan-out, otherwise the override's count or, when there is
+/// none, `automatic()`; never more than 16.
 fn allowed_threads(automatic: impl FnOnce() -> usize) -> usize {
     if FAN_OUT_WORKER.get() {
         return 1;
@@ -590,8 +608,11 @@ fn allowed_threads(automatic: impl FnOnce() -> usize) -> usize {
     .min(16)
 }
 
+/// The host's core count, read once: `available_parallelism` reads the
+/// cgroup quota files on Linux, about 9 µs per call.
 fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Worker-thread count for a kernel of `work` multiply-accumulates: when
@@ -601,17 +622,18 @@ fn parallelism_for(work: usize) -> usize {
     allowed_threads(|| if work < 2 * PAR_MIN_WORK { 1 } else { cores().min(work / PAR_MIN_WORK) })
 }
 
-/// Run `f` over contiguous ranges that split `0..n`, one scoped worker
-/// per range, and return the results in range order.
+/// Run `f` over contiguous ranges that split `0..n`, the first on the
+/// calling thread and each other on a scoped worker, and return the
+/// results in range order.
 ///
 /// The batch level of the thread policy: each range holds at least `min`
 /// items (a single range holds all `n` when `n < 2·min`), and there are
 /// at most as many ranges as cores, or as the kernel-thread override
-/// forces (`set_kernel_threads`, `IRS_KERNEL_THREADS`).  On the workers
-/// every kernel runs serially and a nested `fan_out` runs its one range
-/// in place, so a fan-out that holds the cores never starts threads
-/// beneath it.  A single range runs on the calling thread, whose kernels
-/// keep their own fan-out.
+/// forces (`set_kernel_threads`, `IRS_KERNEL_THREADS`).  While a range
+/// runs, every kernel runs serially and a nested `fan_out` runs its one
+/// range in place, so a fan-out that holds the cores never starts
+/// threads beneath it.  A single range runs on the calling thread
+/// unflagged, so its kernels keep their own fan-out.
 pub fn fan_out<T: Send>(
     n: usize,
     min: usize,
@@ -635,43 +657,68 @@ fn split_ranges(n: usize, min: usize, workers: usize) -> Vec<std::ops::Range<usi
         .collect()
 }
 
-/// [`fan_out`]'s workers: `f` on every range, one scoped thread each
-/// (none for a single range), results in range order.  A worker's panic
-/// resumes on the calling thread.
-fn run_ranges<T: Send>(
-    ranges: Vec<std::ops::Range<usize>>,
-    f: impl Fn(std::ops::Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(f).collect();
+/// Every fan-out in this crate, at either level: `f` on every part,
+/// results in part order.  The calling thread computes the first part
+/// and one scoped worker each of the others, all of them flagged as
+/// fan-out workers while their part runs.  A single part runs on the
+/// calling thread unflagged.  A worker's panic resumes on the calling
+/// thread.
+fn run_ranges<P: Send, T: Send>(parts: Vec<P>, f: impl Fn(P) -> T + Sync) -> Vec<T> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else { return Vec::new() };
+    if parts.len() == 0 {
+        return vec![f(first)];
     }
-    let f = &f;
+    let work = &|part| {
+        let _worker = WorkerFlag::set();
+        f(part)
+    };
     std::thread::scope(|scope| {
-        let workers: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                scope.spawn(move || {
-                    FAN_OUT_WORKER.set(true);
-                    f(range)
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
+        let workers: Vec<_> = parts.map(|part| scope.spawn(move || work(part))).collect();
+        let mut results = Vec::with_capacity(workers.len() + 1);
+        results.push(work(first));
+        results.extend(
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))),
+        );
+        results
     })
+}
+
+/// Run `f(rows, out_rows)` over contiguous row chunks of `out`, a matrix
+/// of `rows` equal rows: a kernel of `work` multiply-accumulates fans out
+/// over `parallelism_for(work).min(rows)` parts of `rows.div_ceil(parts)`
+/// rows each (the last may be shorter), and otherwise runs `f` once on
+/// all rows, on the calling thread.
+fn fan_rows(
+    out: &mut [f32],
+    rows: usize,
+    work: usize,
+    f: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
+) {
+    let threads = parallelism_for(work).min(rows);
+    if threads <= 1 {
+        return f(0..rows, out);
+    }
+    let (rows_per, row_len) = (rows.div_ceil(threads), out.len() / rows);
+    let parts = out
+        .chunks_mut(rows_per * row_len)
+        .enumerate()
+        .map(|(i, chunk)| (i * rows_per..i * rows_per + chunk.len() / row_len, chunk))
+        .collect();
+    run_ranges(parts, |(range, chunk)| f(range, chunk));
 }
 
 /// `out += a @ b` where `a` is `m×k`, `b` is `k×n`, `out` is `m×n` — the
 /// dense 2-D product, and what [`gemm`] runs for a single dense slice.
 ///
 /// The `K_BLOCK`-tiled `i-k-j` loop (`matmul_block_l`), with row blocks
-/// fanned out over threads for large shapes (`std::thread::scope`, no
-/// dependencies).  Every output element accumulates its `k` products in
-/// increasing-`k` order regardless of blocking or threading, so results
-/// are bitwise identical to the naive `i-k-j` loop — batched forwards
-/// reproduce scalar forwards exactly.
+/// fanned out for large shapes: the calling thread computes the first
+/// block and one scoped thread each of the others.  Every output element
+/// accumulates its `k` products in increasing-`k` order regardless of
+/// blocking or threading, so results are bitwise identical to the naive
+/// `i-k-j` loop — batched forwards reproduce scalar forwards exactly.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -679,19 +726,8 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    let threads = parallelism_for(m * k * n).min(m);
-    if threads <= 1 {
-        return matmul_block_l(a, 0, k, b, 0, n, out, 0, n, m, k, n);
-    }
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, out_chunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let row0 = chunk_idx * rows_per;
-            let rows = out_chunk.len() / n;
-            let a_chunk = &a[row0 * k..(row0 + rows) * k];
-            scope
-                .spawn(move || matmul_block_l(a_chunk, 0, k, b, 0, n, out_chunk, 0, n, rows, k, n));
-        }
+    fan_rows(out, m, m * k * n, |rows, out| {
+        matmul_block_l(a, rows.start * k, k, b, 0, n, out, 0, n, rows.len(), k, n);
     });
 }
 
@@ -800,7 +836,8 @@ impl<'a> Operand<'a> {
 /// * a transposed `b` is staged dense per slice in a thread-local scratch
 ///   buffer — reading it in place would stride the inner loop;
 /// * a transposed `a` is read in place while a slice has at most 64 Ki
-///   elements, and staged above that;
+///   elements, and staged above that; a single slice read in place with
+///   dense output rows splits them over threads as [`matmul_into`] does;
 /// * a single slice whose operands are (or were staged) dense goes to the
 ///   row-parallel [`matmul_into`];
 /// * batches fan out over slices, and every other slice runs the same
@@ -845,8 +882,8 @@ pub fn gemm(
 }
 
 /// Slice `s` of [`gemm`], written into `out` rows `o0 + i·ors`.  `whole`
-/// marks a single-slice call, whose dense product may fan its rows out
-/// over threads.
+/// marks a single-slice call, whose dense or in-place transposed product
+/// may fan its rows out over threads.
 #[allow(clippy::too_many_arguments)]
 fn gemm_slice(
     a: &Operand,
@@ -863,8 +900,14 @@ fn gemm_slice(
     with_staged(b, s, k, n, |b, b0, brs| {
         if a.transposed && m * k <= TN_DIRECT_MAX_A {
             let (a0, ars) = (a.layout.slice_base(s), a.layout.row_stride);
-            matmul_tn_l(a.data, a0, ars, b, b0, brs, out, o0, ors, m, k, n);
-            return;
+            if whole && ors == n {
+                // Output row `i` reads column `i` of the stored `a`.
+                return fan_rows(&mut out[o0..o0 + m * n], m, m * k * n, |rows, out| {
+                    let (a0, m) = (a0 + rows.start, rows.len());
+                    matmul_tn_l(a.data, a0, ars, b, b0, brs, out, 0, n, m, k, n);
+                });
+            }
+            return matmul_tn_l(a.data, a0, ars, b, b0, brs, out, o0, ors, m, k, n);
         }
         with_staged(a, s, m, k, |a, a0, ars| {
             if whole && ars == k && brs == n && ors == n {
@@ -917,40 +960,27 @@ fn with_staged<R>(
 
 /// Fan `run(s, out_chunk, o_base)` over the slices of `lo`, in parallel
 /// over outer groups when the total multiply-accumulate count warrants it
-/// and the groups tile `out` exactly (so worker threads own
-/// disjoint `chunks_mut(outer_stride)`); serial otherwise.  Slices are
-/// independent, so the fan never changes results.
+/// and the groups tile `out` exactly (so the parts own disjoint
+/// `chunks_mut(outer_stride)`, as [`fan_rows`] splits rows); serial
+/// otherwise.  Slices are independent, so the fan never changes results.
 fn fan_slices(
     out: &mut [f32],
     lo: &BatchLayout,
     work_per_slice: usize,
     run: impl Fn(usize, &mut [f32], usize) + Sync,
 ) {
-    let slices = lo.slices();
-    let threads = parallelism_for(work_per_slice * slices).min(lo.outer);
-    if threads > 1 && lo.outer * lo.outer_stride == out.len() {
-        let groups_per = lo.outer.div_ceil(threads);
-        let run = &run;
-        std::thread::scope(|scope| {
-            for (ci, chunk) in out.chunks_mut(groups_per * lo.outer_stride).enumerate() {
-                let g0 = ci * groups_per;
-                let groups = chunk.len() / lo.outer_stride;
-                scope.spawn(move || {
-                    for sl in 0..groups * lo.inner {
-                        let s = g0 * lo.inner + sl;
-                        let base =
-                            (sl / lo.inner) * lo.outer_stride + (sl % lo.inner) * lo.inner_stride;
-                        run(s, chunk, base);
-                    }
-                });
-            }
-        });
-    } else {
-        for s in 0..slices {
-            let base = lo.slice_base(s);
-            run(s, out, base);
+    if lo.outer * lo.outer_stride != out.len() {
+        for s in 0..lo.slices() {
+            run(s, out, lo.slice_base(s));
         }
+        return;
     }
+    fan_rows(out, lo.outer, work_per_slice * lo.slices(), |groups, chunk| {
+        for sl in 0..groups.len() * lo.inner {
+            let base = (sl / lo.inner) * lo.outer_stride + (sl % lo.inner) * lo.inner_stride;
+            run(groups.start * lo.inner + sl, chunk, base);
+        }
+    });
 }
 
 /// The plain serial loop: `out += a @ b` over rows located by
@@ -1353,13 +1383,22 @@ mod tests {
         let a = Tensor::randn(&[33, 48], 1.0, &mut rng);
         let b = Tensor::randn(&[17, 48], 1.0, &mut rng);
         let g = Tensor::randn(&[33, 17], 1.0, &mut rng);
+        // Three forced threads split the 47 output rows of cᵀ·g unevenly.
+        let c = Tensor::randn(&[33, 47], 1.0, &mut rng);
         let run = || {
             let mut nt = vec![0.0f32; 33 * 17];
             let bt = Operand::dense(b.data(), 1, 17, 48).t();
             gemm_2d(Operand::dense(a.data(), 1, 33, 48), bt, &mut nt, 33, 48, 17);
-            let mut tn = vec![0.0f32; 48 * 17];
-            let at = Operand::dense(a.data(), 1, 33, 48).t();
-            gemm_2d(at, Operand::dense(g.data(), 1, 33, 17), &mut tn, 48, 33, 17);
+            let tn: Vec<Vec<f32>> = [&a, &c]
+                .iter()
+                .map(|x| {
+                    let m = x.shape()[1];
+                    let mut tn = vec![0.0f32; m * 17];
+                    let xt = Operand::dense(x.data(), 1, 33, m).t();
+                    gemm_2d(xt, Operand::dense(g.data(), 1, 33, 17), &mut tn, m, 33, 17);
+                    tn
+                })
+                .collect();
             (a.matmul(&b.transpose2d()), nt, tn)
         };
         let (serial_mm, serial_nt, serial_tn) = run();
@@ -1422,6 +1461,28 @@ mod tests {
                     assert_eq!(run_ranges(ranges.clone(), |r| r), ranges);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_calling_thread_computes_the_first_part() {
+        let caller = std::thread::current().id();
+        let seen = run_ranges(vec![0..1, 1..2, 2..3, 3..4], |r| {
+            (r.start, std::thread::current().id(), FAN_OUT_WORKER.get())
+        });
+        assert_eq!(seen.iter().map(|s| s.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(seen[0].1, caller);
+        let others: std::collections::HashSet<_> = seen[1..].iter().map(|s| s.1).collect();
+        assert_eq!(others.len(), 3);
+        assert!(!others.contains(&caller));
+        assert!(seen.iter().all(|s| s.2), "every part runs as a fan-out worker");
+        assert!(!FAN_OUT_WORKER.get());
+        // The flag is restored when the caller's own part panics, and a
+        // worker's panic resumes on the caller.
+        for panicking in 0..2 {
+            let run = || run_ranges(vec![0..1, 1..2], |r| assert_ne!(r.start, panicking));
+            assert!(std::panic::catch_unwind(run).is_err());
+            assert!(!FAN_OUT_WORKER.get());
         }
     }
 
