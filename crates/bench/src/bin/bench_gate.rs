@@ -37,9 +37,12 @@
 //! * **Host speed.** The baseline is recorded on whatever machine last
 //!   ran `--update`, which is not the CI runner.  Absolute nanoseconds
 //!   are therefore meaningless across the diff; the gate first divides
-//!   every per-benchmark ratio by the suite-wide geometric-mean ratio
-//!   (the host-speed factor), leaving only *relative* movement — a
-//!   benchmark that got slower than its peers.
+//!   every per-benchmark ratio by the suite-wide median ratio (the
+//!   host-speed factor), leaving only *relative* movement — a benchmark
+//!   that got slower than its peers.  The median, not the geometric
+//!   mean: a change that speeds up a minority of entries would drag a
+//!   mean down until the unchanged rest read as regressions, while the
+//!   median moves only once half the entries do.
 //!
 //! A normalised regression above 25% is far outside observed jitter and
 //! far below the signal of a real regression (losing a batched path is
@@ -177,11 +180,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Host-speed factor: geometric mean of the fresh/baseline ratios,
-    // computed over the default-threshold pairs only — suites granted a
-    // widened threshold are noisy by definition, and letting their swing
-    // into the mean would eat the tighter suites' margins.  (If every
-    // pair has a widened threshold, fall back to all of them.)
+    // Host-speed factor: the median fresh/baseline ratio, computed over
+    // the default-threshold pairs only — suites granted a widened
+    // threshold are noisy by definition, and letting their swing into the
+    // factor would eat the tighter suites' margins.  (If every pair has a
+    // widened threshold, fall back to all of them.)
     let all_pairs: Vec<&(&str, f64, f64)> = pairs.iter().collect();
     let default_pairs: Vec<&(&str, f64, f64)> = pairs
         .iter()
@@ -189,11 +192,10 @@ fn main() -> ExitCode {
         .collect();
     let host_pairs: &[&(&str, f64, f64)] =
         if default_pairs.is_empty() { &all_pairs } else { &default_pairs };
-    let host = (host_pairs.iter().map(|(_, b, f)| (f / b).ln()).sum::<f64>()
-        / host_pairs.len() as f64)
-        .exp();
+    let host_ratios: Vec<f64> = host_pairs.iter().map(|(_, b, f)| f / b).collect();
+    let host = host_factor(&host_ratios);
     println!(
-        "bench_gate: host-speed factor {host:.3} over {} default-threshold benchmarks",
+        "bench_gate: host-speed factor {host:.3} (median ratio) over {} default-threshold benchmarks",
         host_pairs.len()
     );
 
@@ -220,6 +222,20 @@ fn main() -> ExitCode {
     } else {
         println!("bench_gate: all benchmarks within their thresholds (default {THRESHOLD}x)");
         ExitCode::SUCCESS
+    }
+}
+
+/// The host-speed factor of a set of fresh/baseline ratios: their
+/// median, or the geometric mean of the two middle ones for an even
+/// count.  `ratios` must be non-empty.
+fn host_factor(ratios: &[f64]) -> f64 {
+    let mut sorted = ratios.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] * sorted[mid]).sqrt()
     }
 }
 
@@ -284,7 +300,34 @@ fn parse_medians(path: &str) -> Result<Vec<(String, f64)>, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_medians, parse_threshold_spec, threshold_for, write_medians, THRESHOLD};
+    use super::{
+        host_factor, parse_medians, parse_threshold_spec, threshold_for, write_medians, THRESHOLD,
+    };
+
+    #[test]
+    fn host_factor_is_the_median_ratio() {
+        assert_eq!(host_factor(&[3.0, 1.0, 2.0]), 2.0);
+        // An even count takes the geometric mean of the two middle ratios.
+        assert_eq!(host_factor(&[4.0, 0.5, 1.0, 100.0]), 2.0);
+        assert_eq!(host_factor(&[0.7]), 0.7);
+    }
+
+    #[test]
+    fn a_faster_minority_does_not_flag_unchanged_entries() {
+        // 18 default-threshold entries: 8 run twice as fast, 9 are
+        // unchanged and one unchanged entry reads a raw ratio of 1.2.
+        let mut ratios = vec![0.5; 8];
+        ratios.extend([1.0; 9]);
+        ratios.push(1.2);
+        let host = host_factor(&ratios);
+        assert_eq!(host, 1.0);
+        assert!(1.2 / host <= THRESHOLD, "the median leaves the 1.2 entry unflagged");
+        // A geometric mean would be dragged down to 0.742 by the faster
+        // minority and flag the entry at 1.62.
+        let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
+        assert!(1.2 / geomean > THRESHOLD);
+        assert!((1.2 / geomean - 1.62).abs() < 0.005);
+    }
 
     #[test]
     fn threshold_specs_parse_and_reject_garbage() {

@@ -171,20 +171,18 @@ pub fn train_item2vec(
                             }
                             (n, 0.0)
                         };
+                        // `w_in` and `w_out` are separate buffers: the centre
+                        // row is read in place while the target row updates.
                         let vin = &w_in[center * dim..(center + 1) * dim];
-                        let vout = &w_out[target * dim..(target + 1) * dim];
-                        let dot: f32 = vin.iter().zip(vout).map(|(&a, &b)| a * b).sum();
+                        let vout = &mut w_out[target * dim..(target + 1) * dim];
+                        let dot: f32 = vin.iter().zip(vout.iter()).map(|(&a, &b)| a * b).sum();
                         let pred = 1.0 / (1.0 + (-dot).exp());
                         let g = (pred - label) * lr;
-                        for k in 0..dim {
-                            grad_in[k] += g * vout[k];
-                        }
-                        let vout_mut = &mut w_out[target * dim..(target + 1) * dim];
-                        let vin_ro = &w_in[center * dim..(center + 1) * dim];
-                        // Borrow juggling: copy the input row first.
-                        let vin_copy: Vec<f32> = vin_ro.to_vec();
-                        for k in 0..dim {
-                            vout_mut[k] -= g * vin_copy[k];
+                        // Each gradient term reads the target element before
+                        // its update.
+                        for ((gk, vo), &vi) in grad_in.iter_mut().zip(vout.iter_mut()).zip(vin) {
+                            *gk += g * *vo;
+                            *vo -= g * vi;
                         }
                     }
                     let vin_mut = &mut w_in[center * dim..(center + 1) * dim];

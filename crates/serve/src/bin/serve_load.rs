@@ -2,7 +2,9 @@
 //!
 //! Trains a tiny IRN on a synthetic dataset, stands up the micro-batching
 //! [`Engine`] and replays concurrent interactive sessions against it,
-//! reporting throughput and latency percentiles.  `--compare` runs the
+//! reporting throughput and latency percentiles.  The session threads
+//! score the batches themselves; `--workers W` (default 2) caps how many
+//! of them score at once.  `--compare` runs the
 //! same traffic against a batch-size-1 scheduler first and prints the
 //! micro-batching speedup (the serving analogue of the inference bench's
 //! batched-vs-scalar ratio); `IRS_SERVE_ASSERT=1` turns the ≥2x
@@ -505,7 +507,7 @@ fn main() -> ExitCode {
         scalar.print("scalar  ");
         log_info!(
             "serve_load",
-            "engine without coalescing (max_batch 1, {} workers)...",
+            "engine without coalescing (max_batch 1, {} scoring at once)...",
             opts.workers
         );
         let engine1 = run_load(

@@ -225,9 +225,9 @@ impl HttpServer {
     ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let http_workers = if config.http_workers == 0 {
-            // Workers park on the batching engine while their request is
-            // in flight, so the pool needs headroom beyond the core
-            // count — too few workers caps the engine's batch depth.
+            // Workers park on the batching engine while another caller
+            // scores their request, so the pool needs headroom beyond the
+            // core count — too few workers caps the engine's batch depth.
             (2 * std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2)).max(8)
         } else {
             config.http_workers
@@ -849,7 +849,7 @@ fn next_item(
         }
         NextState::Ask { user, objective, arm } => {
             // Ride the session's context cache along with the request:
-            // the worker extends (or rebuilds) it and hands it back, and
+            // the runner extends (or rebuilds) it and hands it back, and
             // it is parked again below while the session is still pinned
             // (so the slot cannot have been swept mid-flight).
             if state.sessions.cache_enabled() {

@@ -9,11 +9,12 @@
 //! * [`SessionStore`] — a sharded concurrent map of per-user
 //!   [`irs_core::InteractiveSession`] state (history ⊕ accepted path,
 //!   objective, rejection blocklist);
-//! * [`Engine`] — a **dynamic micro-batching scheduler**: worker threads
-//!   drain a bounded request queue under a work-conserving policy (take
-//!   whatever is queued, up to a max batch size, and never wait for
-//!   more) and coalesce concurrent `next_item` requests from different
-//!   sessions into single batched
+//! * [`Engine`] — a **dynamic micro-batching scheduler** that owns no
+//!   threads: the callers themselves drain a bounded request queue under
+//!   a work-conserving policy (a caller that finds a runner role free
+//!   takes whatever is queued, up to a max batch size, and never waits
+//!   for more) and coalesce concurrent `next_item` requests from
+//!   different sessions into single batched
 //!   [`InfluenceRecommender::next_items_into`] calls, sharing one PIM cache
 //!   per model snapshot;
 //! * [`SnapshotRegistry`] — atomically hot-swappable model snapshots

@@ -218,7 +218,7 @@ impl ServeMetrics {
         let snapshot_version = r.gauge("snapshot_version", "Version of the stable snapshot");
         let snapshot_params = r.gauge("snapshot_params", "Scalar parameter count of the snapshot");
         let max_batch = r.gauge("max_batch", "Configured largest coalesced batch");
-        let workers = r.gauge("workers", "Scheduler worker threads");
+        let workers = r.gauge("workers", "Most callers scoring batches at once");
         let http_workers = r.gauge("http_workers", "HTTP worker threads");
         let open_connections = r.gauge("open_connections", "Currently open client connections");
         let layout = r.text("layout", "Encoding layout the served models score with");

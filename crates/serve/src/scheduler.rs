@@ -1,19 +1,30 @@
-//! Dynamic micro-batching scheduler.
+//! Dynamic micro-batching by flat combining: the callers score.
 //!
 //! Concurrent `next_item` requests from different sessions land in one
-//! bounded queue; worker threads drain it under a *work-conserving*
-//! policy — a worker blocks for the first request, takes whatever else
-//! is already queued (up to `max_batch`) and dispatches at once — and
-//! answer every request in the batch with a single
-//! [`InfluenceRecommender::next_items_into`] call against the current
-//! model snapshot.
+//! bounded queue, and the engine owns no threads to drain it.  A caller
+//! that enqueues while fewer than [`BatchPolicy::workers`] callers are
+//! scoring becomes a *runner*: it takes up to `max_batch` queued requests
+//! in FIFO order, answers every request in the batch with one
+//! [`InfluenceRecommender::next_items_into`] call per arm against the
+//! current model snapshots, and repeats while its own request is still
+//! queued.  When it stops, it hands the runner role to the caller of the
+//! oldest queued request through that request's reply slot, or gives the
+//! role up when nothing is left waiting.  So:
 //!
-//! A request is never held back waiting for co-travellers: a worker is
-//! idle only when the queue is empty.  Under load the queue refills while
-//! the workers run their forwards, so batches form from that backlog;
+//! * at most `workers` callers score at once;
+//! * a queued request always has a runner;
+//! * no caller keeps scoring for others once its own request has left
+//!   the queue.
+//!
+//! A lone request is therefore scored on the thread that submitted it,
+//! with no thread hand-off at all.  The queue is *work-conserving*: a
+//! request is never held back waiting for co-travellers.  Under load it
+//! refills while the runners score, so batches form from that backlog;
 //! `max_batch` bounds the forward-pass size.  `BatchPolicy { max_batch:
 //! 1, .. }` degenerates to no batching (the baseline configuration
-//! `serve_load --compare` measures against).
+//! `serve_load --compare` measures against).  This is flat combining
+//! (Hendler et al., "Flat Combining and the Synchronization-Parallelism
+//! Tradeoff", SPAA 2010) with up to `workers` combiners.
 //!
 //! Batch composition is unobservable in the answers (the batched≡scalar
 //! bitwise contract), so regrouping requests by arrival timing is safe.
@@ -21,20 +32,22 @@
 //! # Allocation discipline
 //!
 //! The handoff is built so a warm caller pays **zero allocations per
-//! round-trip**: replies travel through a reusable [`EngineCaller`] slot
-//! (a `Mutex` + `Condvar` cell, not a fresh channel per request), the
-//! caller's `history`/`path` buffers move *into* the queued request and
-//! are handed back through the slot when the worker answers, and the
-//! worker itself keeps its batch/query/answer buffers across batches
-//! (stack-allocated query slices up to [`STACK_QUERIES`]).  The legacy
-//! [`Engine::next_item`] entry point allocates a fresh slot per call and
-//! remains for tests and one-shot callers.
+//! round-trip**: answers and the runner role travel through a reusable
+//! [`EngineCaller`] slot (a `Mutex` + `Condvar` cell, not a fresh channel
+//! per request), and the caller's `history`/`path` buffers move *into*
+//! the queued request and are handed back through the slot when a runner
+//! answers.  The per-batch buffers (the batch, its answers, the per-arm
+//! cold indices) live in a pool the engine owns: `workers` sets,
+//! allocated in [`Engine::start`], which a runner borrows for as long as
+//! it holds the role (query slices up to [`STACK_QUERIES`] live on the
+//! stack).  The legacy [`Engine::next_item`] entry point allocates a
+//! fresh slot per call and remains for tests and one-shot callers.
 //!
 //! [`InfluenceRecommender::next_items_into`]: irs_core::InfluenceRecommender::next_items_into
 
 use std::collections::VecDeque;
 use std::mem;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use irs_core::{ContextCache, NextQuery};
@@ -49,7 +62,7 @@ use crate::snapshot::{ModelSnapshot, SnapshotRegistry, NUM_ARMS};
 pub struct BatchPolicy {
     /// Largest coalesced batch (1 disables batching).
     pub max_batch: usize,
-    /// Scheduler worker threads draining the queue.
+    /// Most callers scoring batches at once (the runners).
     pub workers: usize,
     /// Bound on queued requests; producers block when it is reached
     /// (backpressure instead of unbounded memory growth).
@@ -62,18 +75,25 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Where a worker writes a request's answer and hands the caller's
-/// buffers back.  One slot serves one in-flight request at a time but is
-/// reused across requests by [`EngineCaller`].
+/// Where a runner writes a request's answer and hands the caller's
+/// buffers back, or hands the caller the runner role.  One slot serves
+/// one in-flight request at a time but is reused across requests by
+/// [`EngineCaller`].
 #[derive(Default)]
 struct ReplyState {
     done: bool,
+    /// The runner role was handed to this slot's caller (see
+    /// [`Runner::release`]).
+    run: bool,
+    /// The caller is parked on `ready`; signals notify only then, so a
+    /// runner answering its own request makes no wake-up call.
+    parked: bool,
     answer: Option<ItemId>,
     /// The caller's `history`/`path` buffers, returned so the next
     /// request on this slot reuses their capacity.
     history: Vec<ItemId>,
     path: Vec<ItemId>,
-    /// The session's context cache, updated by the worker and returned
+    /// The session's context cache, updated by the runner and returned
     /// for the caller to park back in its session store.
     cache: Option<ContextCache>,
 }
@@ -91,10 +111,22 @@ impl ReplySlot {
         st.answer = None;
         st.cache = None;
     }
+
+    /// Update the state under its lock and wake the caller if it is
+    /// parked.
+    fn signal(&self, update: impl FnOnce(&mut ReplyState)) {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        update(&mut st);
+        let parked = st.parked;
+        drop(st);
+        if parked {
+            self.ready.notify_one();
+        }
+    }
 }
 
-/// The worker-side handle on a slot.  `deliver` answers the request and
-/// returns the buffers; dropping an undelivered reply (a worker dying
+/// The runner-side handle on a slot.  `deliver` answers the request and
+/// returns the buffers; dropping an undelivered reply (a runner unwinding
 /// mid-batch) still wakes the caller with `None` so nobody blocks
 /// forever.
 struct Reply {
@@ -115,24 +147,20 @@ impl Reply {
         cache: Option<ContextCache>,
     ) {
         self.delivered = true;
-        let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.answer = answer;
-        st.history = history;
-        st.path = path;
-        st.cache = cache;
-        st.done = true;
-        drop(st);
-        self.slot.ready.notify_one();
+        self.slot.signal(|st| {
+            st.answer = answer;
+            st.history = history;
+            st.path = path;
+            st.cache = cache;
+            st.done = true;
+        });
     }
 }
 
 impl Drop for Reply {
     fn drop(&mut self) {
         if !self.delivered {
-            let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.done = true;
-            drop(st);
-            self.slot.ready.notify_one();
+            self.slot.signal(|st| st.done = true);
         }
     }
 }
@@ -152,6 +180,9 @@ struct ScoreRequest {
     want_cache: bool,
     /// The traffic arm (snapshot slot) this request scores against.
     arm: usize,
+    /// Its caller holds the runner role or has been handed it, so a
+    /// releasing runner must not hand it another.
+    has_runner: bool,
     /// When the request entered the queue — the start of its
     /// `queue`-stage span.
     enqueued_at: Instant,
@@ -169,22 +200,58 @@ impl ScoreRequest {
     }
 }
 
+/// One runner's per-batch buffers, kept across batches and runners so a
+/// warm runner allocates nothing.
+#[derive(Default)]
+struct BatchBuffers {
+    batch: Vec<ScoreRequest>,
+    answers: Vec<Option<ItemId>>,
+    /// Batch indices of the requests scored by one batched forward per
+    /// arm.
+    cold: [Vec<usize>; NUM_ARMS],
+    cold_answers: Vec<Option<ItemId>>,
+}
+
+impl BatchBuffers {
+    fn with_capacity(max_batch: usize) -> Self {
+        BatchBuffers {
+            batch: Vec::with_capacity(max_batch),
+            answers: Vec::with_capacity(max_batch),
+            cold: std::array::from_fn(|_| Vec::with_capacity(max_batch)),
+            cold_answers: Vec::with_capacity(max_batch),
+        }
+    }
+}
+
 struct QueueInner {
     requests: VecDeque<ScoreRequest>,
+    /// Requests ever taken off the front of `requests`.  A request's
+    /// ticket is `taken + requests.len()` when it is pushed, so it is
+    /// still queued exactly while its ticket is at least `taken`.
+    taken: u64,
+    /// Callers holding the runner role, counting one handed the role but
+    /// not yet awake (at most `BatchPolicy::workers`).
+    runners: usize,
+    /// Producers blocked on `not_full`; a runner taking a batch notifies
+    /// only when there are some.
+    blocked: usize,
+    /// The per-batch buffer sets of the runners not scoring right now.
+    pool: Vec<BatchBuffers>,
     shutdown: bool,
 }
 
 struct SharedQueue {
     inner: Mutex<QueueInner>,
-    not_empty: Condvar,
     not_full: Condvar,
+    /// Signalled when the last runner gives its role up after shutdown.
+    idle: Condvar,
     capacity: usize,
 }
 
 /// A caller-owned scheduling workspace: one reusable reply slot plus the
 /// `history`/`path` staging buffers a request is built from.  Fill the
 /// buffers, call [`Engine::next_item_with`], repeat — a warm caller
-/// allocates nothing per round-trip (the buffers travel to the worker
+/// allocates nothing per round-trip (the buffers travel with the request
 /// and come back through the slot).
 pub struct EngineCaller {
     slot: Arc<ReplySlot>,
@@ -218,7 +285,7 @@ impl EngineCaller {
 
     /// Stage the session's context cache (possibly `None` — a first
     /// request, or one whose cache was evicted) for the next round-trip
-    /// and opt the request into cached serving.  The worker updates the
+    /// and opt the request into cached serving.  The runner updates the
     /// state and hands it back; collect it with
     /// [`EngineCaller::take_cache`] after the round-trip and park it in
     /// the session store.
@@ -282,39 +349,38 @@ impl StatsSnapshot {
     }
 }
 
-/// The micro-batching engine: a bounded request queue plus worker threads
-/// scoring coalesced batches against [`SnapshotRegistry::current`].
+/// The micro-batching engine: a bounded request queue whose callers score
+/// coalesced batches against [`SnapshotRegistry::current`] themselves.
 pub struct Engine {
-    queue: Arc<SharedQueue>,
+    queue: SharedQueue,
     registry: Arc<SnapshotRegistry>,
     metrics: Arc<ServeMetrics>,
     policy: BatchPolicy,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Engine {
-    /// Spawn the scheduler's worker threads.
+    /// Build the engine: the queue and its pool of `policy.workers`
+    /// per-batch buffer sets.  It starts no threads; callers run the
+    /// batches.
     pub fn start(registry: Arc<SnapshotRegistry>, policy: BatchPolicy) -> Self {
         assert!(policy.max_batch >= 1, "max_batch must be at least 1");
         assert!(policy.workers >= 1, "at least one worker is required");
         assert!(policy.queue_capacity >= 1, "queue capacity must be at least 1");
-        let queue = Arc::new(SharedQueue {
-            inner: Mutex::new(QueueInner { requests: VecDeque::new(), shutdown: false }),
-            not_empty: Condvar::new(),
+        let pool = (0..policy.workers).map(|_| BatchBuffers::with_capacity(policy.max_batch));
+        let queue = SharedQueue {
+            inner: Mutex::new(QueueInner {
+                requests: VecDeque::new(),
+                taken: 0,
+                runners: 0,
+                blocked: 0,
+                pool: pool.collect(),
+                shutdown: false,
+            }),
             not_full: Condvar::new(),
+            idle: Condvar::new(),
             capacity: policy.queue_capacity,
-        });
-        let metrics = Arc::new(ServeMetrics::new());
-        let workers = (0..policy.workers)
-            .map(|_| {
-                let queue = queue.clone();
-                let registry = registry.clone();
-                let metrics = metrics.clone();
-                let policy = policy.clone();
-                std::thread::spawn(move || worker_loop(&queue, &registry, &metrics, &policy))
-            })
-            .collect();
-        Engine { queue, registry, metrics, policy, workers: Mutex::new(workers) }
+        };
+        Engine { queue, registry, metrics: Arc::new(ServeMetrics::new()), policy }
     }
 
     /// The snapshot registry this engine scores against.
@@ -333,9 +399,9 @@ impl Engine {
         &self.policy
     }
 
-    /// Submit one request and block until the scheduler answers it.
-    /// Returns `None` when the recommender cannot extend the path or the
-    /// engine is shutting down.
+    /// Submit one request and block until it is answered (on this thread
+    /// when it becomes a runner).  Returns `None` when the recommender
+    /// cannot extend the path or the engine is shutting down.
     ///
     /// This is the one-shot entry point (it allocates a fresh reply slot
     /// per call); steady-state servers should hold an [`EngineCaller`]
@@ -399,30 +465,48 @@ impl Engine {
         arm: usize,
     ) -> (Option<ItemId>, Vec<ItemId>, Vec<ItemId>, Option<ContextCache>) {
         slot.arm();
-        {
-            let mut inner = self.queue.inner.lock().expect("serve queue poisoned");
-            while inner.requests.len() >= self.queue.capacity && !inner.shutdown {
-                inner = self.queue.not_full.wait(inner).expect("serve queue poisoned");
-            }
-            if inner.shutdown {
-                return (None, history, path, cache);
-            }
-            inner.requests.push_back(ScoreRequest {
-                user,
-                history,
-                objective,
-                path,
-                cache,
-                want_cache,
-                arm: arm.min(NUM_ARMS - 1),
-                enqueued_at: Instant::now(),
-                reply: Reply::new(slot.clone()),
-            });
+        let mut inner = self.queue.inner.lock().expect("serve queue poisoned");
+        while inner.requests.len() >= self.queue.capacity && !inner.shutdown {
+            inner.blocked += 1;
+            inner = self.queue.not_full.wait(inner).expect("serve queue poisoned");
+            inner.blocked -= 1;
         }
-        self.queue.not_empty.notify_one();
+        if inner.shutdown {
+            return (None, history, path, cache);
+        }
+        let ticket = inner.taken + inner.requests.len() as u64;
+        let runner = inner.runners < self.policy.workers;
+        inner.requests.push_back(ScoreRequest {
+            user,
+            history,
+            objective,
+            path,
+            cache,
+            want_cache,
+            arm: arm.min(NUM_ARMS - 1),
+            has_runner: runner,
+            enqueued_at: Instant::now(),
+            reply: Reply::new(slot.clone()),
+        });
+        if runner {
+            inner.runners += 1;
+            self.run(inner, ticket);
+        } else {
+            drop(inner);
+        }
         let mut st = slot.state.lock().expect("reply slot poisoned");
-        while !st.done {
-            st = slot.ready.wait(st).expect("reply slot poisoned");
+        loop {
+            if mem::take(&mut st.run) {
+                drop(st);
+                self.run(self.queue.inner.lock().expect("serve queue poisoned"), ticket);
+                st = slot.state.lock().expect("reply slot poisoned");
+            } else if st.done {
+                break;
+            } else {
+                st.parked = true;
+                st = slot.ready.wait(st).expect("reply slot poisoned");
+                st.parked = false;
+            }
         }
         let answer = st.answer.take();
         let history = mem::take(&mut st.history);
@@ -431,122 +515,40 @@ impl Engine {
         (answer, history, path, cache)
     }
 
-    /// One scheduling round-trip for a live session: clone its query
-    /// state and block for the batched answer.  Feed the result back
-    /// with [`InteractiveSession::record`] /
-    /// [`InteractiveSession::record_give_up`] (the session stays with
-    /// the caller — under a store lock, on a client thread, wherever).
-    ///
-    /// [`InteractiveSession::record`]: irs_core::InteractiveSession::record
-    /// [`InteractiveSession::record_give_up`]: irs_core::InteractiveSession::record_give_up
-    pub fn propose(&self, session: &irs_core::InteractiveSession) -> Option<ItemId> {
-        let q = session.query();
-        self.next_item(q.user, q.history.to_vec(), q.objective, q.path.to_vec())
-    }
-
-    /// Current counter values.
-    pub fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.metrics.requests.get(),
-            batches: self.metrics.batches.get(),
-            gave_up: self.metrics.gave_up.get(),
-            cache_hits: self.metrics.cache_hits.get(),
-            cache_misses: self.metrics.cache_misses.get(),
-            cache_invalidations: self.metrics.cache_invalidations.get(),
+    /// Score batches as a runner while the caller's own request (`ticket`)
+    /// is still queued, then release the role (see [`Runner`]).  Entered
+    /// with the queue lock held and the role counted in `runners`; nothing
+    /// under the lock may panic, or the role's guard would wait on it.
+    fn run<'a>(&'a self, mut inner: MutexGuard<'a, QueueInner>, ticket: u64) {
+        let buffers =
+            inner.pool.pop().unwrap_or_else(|| BatchBuffers::with_capacity(self.policy.max_batch));
+        let mut runner = Runner { queue: &self.queue, buffers, released: false };
+        while inner.taken <= ticket {
+            let first_pop = Instant::now();
+            let take = inner.requests.len().min(self.policy.max_batch);
+            runner.buffers.batch.extend(inner.requests.drain(..take));
+            inner.taken += take as u64;
+            let wake_producers = inner.blocked > 0;
+            drop(inner);
+            if wake_producers {
+                self.queue.not_full.notify_all();
+            }
+            self.score_batch(&mut runner.buffers, first_pop);
+            inner = self.queue.inner.lock().expect("serve queue poisoned");
         }
+        runner.release(&mut inner);
     }
 
-    /// Drain the queue, stop the workers and join them (idempotent).
-    /// Queued requests are still answered; requests submitted after
-    /// shutdown get `None`.
-    pub fn shutdown(&self) {
-        {
-            let mut inner = self.queue.inner.lock().expect("serve queue poisoned");
-            inner.shutdown = true;
+    /// Score a taken batch on this thread and deliver every answer.
+    fn score_batch(&self, buffers: &mut BatchBuffers, first_pop: Instant) {
+        const EMPTY_QUERY: NextQuery<'static> =
+            NextQuery { user: 0, history: &[], objective: 0, path: &[] };
+        let BatchBuffers { batch, answers, cold, cold_answers } = buffers;
+        let metrics = &*self.metrics;
+        for req in batch.iter() {
+            record_queue_wait(metrics, req, first_pop);
         }
-        self.queue.not_empty.notify_all();
-        self.queue.not_full.notify_all();
-        let handles: Vec<_> =
-            self.workers.lock().expect("worker list poisoned").drain(..).collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Record a popped request's `queue`-stage span (time spent waiting for
-/// a worker).  Queue/assemble spans are labelled by the request's cache
-/// *intent* (`want_cache`); the forward span relabels by the path
-/// actually taken.
-fn record_queue_wait(metrics: &ServeMetrics, req: &ScoreRequest, now: Instant) {
-    metrics.stages.queue[req.arm.min(NUM_ARMS - 1)][usize::from(req.want_cache)]
-        .record(now.saturating_duration_since(req.enqueued_at));
-}
-
-/// Collect one micro-batch into `batch` (cleared first): block for the
-/// first request, then take whatever is already queued, up to
-/// `max_batch`, without waiting for more.  Returns the instant of the
-/// first pop (the start of the batch's `assemble` span), or `None` when
-/// the engine shut down and the queue is drained.
-fn collect_batch(
-    queue: &SharedQueue,
-    policy: &BatchPolicy,
-    batch: &mut Vec<ScoreRequest>,
-    metrics: &ServeMetrics,
-) -> Option<Instant> {
-    batch.clear();
-    let mut inner = queue.inner.lock().expect("serve queue poisoned");
-    while inner.requests.is_empty() {
-        if inner.shutdown {
-            return None;
-        }
-        inner = queue.not_empty.wait(inner).expect("serve queue poisoned");
-    }
-    let first_pop = Instant::now();
-    let take = inner.requests.len().min(policy.max_batch);
-    batch.extend(inner.requests.drain(..take));
-    drop(inner);
-    queue.not_full.notify_all();
-    for req in batch.iter() {
-        record_queue_wait(metrics, req, first_pop);
-    }
-    Some(first_pop)
-}
-
-/// Batches at most this large borrow a stack-allocated query slice; the
-/// rare larger batch falls back to a heap `Vec` (one allocation per
-/// *batch*, not per request).
-const STACK_QUERIES: usize = 64;
-
-/// A context cache freshly minted against `snapshot`, or `None` when the
-/// model has no incremental path.
-fn fresh_cache(snapshot: &ModelSnapshot, version: u64) -> Option<ContextCache> {
-    snapshot.model.new_context_cache().map(|state| ContextCache { state, generation: version })
-}
-
-fn worker_loop(
-    queue: &SharedQueue,
-    registry: &SnapshotRegistry,
-    metrics: &ServeMetrics,
-    policy: &BatchPolicy,
-) {
-    const EMPTY_QUERY: NextQuery<'static> =
-        NextQuery { user: 0, history: &[], objective: 0, path: &[] };
-    // Worker-lifetime buffers: reused across batches so a warm worker
-    // allocates nothing per batch.
-    let mut batch: Vec<ScoreRequest> = Vec::with_capacity(policy.max_batch);
-    let mut answers: Vec<Option<ItemId>> = Vec::with_capacity(policy.max_batch);
-    let mut cold: [Vec<usize>; NUM_ARMS] =
-        std::array::from_fn(|_| Vec::with_capacity(policy.max_batch));
-    let mut cold_answers: Vec<Option<ItemId>> = Vec::with_capacity(policy.max_batch);
-    while let Some(first_pop) = collect_batch(queue, policy, &mut batch, metrics) {
-        // The assemble span — the queue drain after the first pop — is
+        // The assemble span — from taking the batch to scoring it — is
         // shared by every request in the batch.
         let assembled = first_pop.elapsed();
         for req in batch.iter() {
@@ -563,15 +565,15 @@ fn worker_loop(
         let mut arms: [Option<(Arc<ModelSnapshot>, u64)>; NUM_ARMS] = std::array::from_fn(|_| None);
         answers.clear();
         answers.resize(batch.len(), None);
-        for c in &mut cold {
+        for c in cold.iter_mut() {
             c.clear();
         }
         cold_answers.clear();
         // Panic isolation: a model panic (bad input reaching an
-        // embedding lookup, a future model bug) must not kill the worker
-        // — one dead worker silently halves capacity and once all are
-        // gone every submitter blocks forever.  The poisoned batch is
-        // answered `None`; the worker lives on.
+        // embedding lookup, a future model bug) must not unwind into the
+        // caller that happens to be running the batch — an HTTP worker
+        // would die over another session's request.  The poisoned batch
+        // is answered `None`; the runner carries on.
         let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // A coalesced batch mixes cached and cold sessions: requests
             // carrying per-session state take the incremental path one by
@@ -586,7 +588,7 @@ fn worker_loop(
                     continue;
                 }
                 let (snapshot, version) = {
-                    let slot = arms[a].get_or_insert_with(|| registry.arm_versioned(a));
+                    let slot = arms[a].get_or_insert_with(|| self.registry.arm_versioned(a));
                     (slot.0.clone(), slot.1)
                 };
                 let cache = match req.cache.take() {
@@ -616,7 +618,7 @@ fn worker_loop(
                     continue;
                 }
                 let snapshot = {
-                    let slot = arms[a].get_or_insert_with(|| registry.arm_versioned(a));
+                    let slot = arms[a].get_or_insert_with(|| self.registry.arm_versioned(a));
                     slot.0.clone()
                 };
                 cold_answers.clear();
@@ -626,11 +628,11 @@ fn worker_loop(
                     for (slot, &i) in qbuf.iter_mut().zip(cold.iter()) {
                         *slot = batch[i].query();
                     }
-                    snapshot.model.next_items_into(&qbuf[..cold.len()], &mut cold_answers);
+                    snapshot.model.next_items_into(&qbuf[..cold.len()], cold_answers);
                 } else {
                     let queries: Vec<NextQuery<'_>> =
                         cold.iter().map(|&i| batch[i].query()).collect();
-                    snapshot.model.next_items_into(&queries, &mut cold_answers);
+                    snapshot.model.next_items_into(&queries, cold_answers);
                 }
                 // The shared batched forward is attributed to every
                 // request that rode it.
@@ -676,6 +678,120 @@ fn worker_loop(
             reply.deliver(answer, history, path, cache);
         }
     }
+
+    /// Current counter values.
+    pub fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            requests: self.metrics.requests.get(),
+            batches: self.metrics.batches.get(),
+            gave_up: self.metrics.gave_up.get(),
+            cache_hits: self.metrics.cache_hits.get(),
+            cache_misses: self.metrics.cache_misses.get(),
+            cache_invalidations: self.metrics.cache_invalidations.get(),
+        }
+    }
+
+    /// One scheduling round-trip for a live session: clone its query
+    /// state and block for the batched answer.  Feed the result back
+    /// with [`InteractiveSession::record`] /
+    /// [`InteractiveSession::record_give_up`] (the session stays with
+    /// the caller — under a store lock, on a client thread, wherever).
+    ///
+    /// [`InteractiveSession::record`]: irs_core::InteractiveSession::record
+    /// [`InteractiveSession::record_give_up`]: irs_core::InteractiveSession::record_give_up
+    pub fn propose(&self, session: &irs_core::InteractiveSession) -> Option<ItemId> {
+        let q = session.query();
+        self.next_item(q.user, q.history.to_vec(), q.objective, q.path.to_vec())
+    }
+
+    /// Refuse new requests and wait until no caller is scoring
+    /// (idempotent).  Queued requests are still answered — each has a
+    /// runner; requests submitted after shutdown get `None`.
+    pub fn shutdown(&self) {
+        let mut inner = self.queue.inner.lock().expect("serve queue poisoned");
+        inner.shutdown = true;
+        self.queue.not_full.notify_all();
+        while inner.runners > 0 {
+            inner = self.queue.idle.wait(inner).expect("serve queue poisoned");
+        }
+    }
+}
+
+impl Drop for Engine {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// The runner role, held by a caller while it scores batches, with the
+/// buffer set borrowed from the engine's pool.  Releasing it — after the
+/// last batch, or from `drop` while a panic outside the model unwinds
+/// the runner — returns the buffers to the pool and hands the role on.
+struct Runner<'a> {
+    queue: &'a SharedQueue,
+    buffers: BatchBuffers,
+    released: bool,
+}
+
+impl Runner<'_> {
+    /// Give the role back under the queue lock: return the buffers, then
+    /// hand the role to the caller of the oldest queued request that has
+    /// no runner yet, or give it up when there is none (every queued
+    /// request then belongs to a caller already running).
+    fn release(&mut self, inner: &mut QueueInner) {
+        self.released = true;
+        inner.pool.push(mem::take(&mut self.buffers));
+        match inner.requests.iter_mut().find(|req| !req.has_runner) {
+            Some(next) => {
+                // Signalled under the queue lock: until the lock drops no
+                // runner can take `next`, so its caller sees `run` no
+                // later than its answer.
+                next.has_runner = true;
+                next.reply.slot.signal(|st| st.run = true);
+            }
+            None => {
+                inner.runners -= 1;
+                if inner.runners == 0 && inner.shutdown {
+                    self.queue.idle.notify_all();
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Runner<'_> {
+    fn drop(&mut self) {
+        if !self.released {
+            // Answer `None` to whatever the unwinding batch still holds.
+            // The runner's own request, if still queued, keeps its
+            // `has_runner` mark, so the role is never handed to a caller
+            // that has gone; a later runner answers it, or dropping the
+            // engine does.
+            self.buffers.batch.clear();
+            let mut inner = self.queue.inner.lock().unwrap_or_else(|e| e.into_inner());
+            self.release(&mut inner);
+        }
+    }
+}
+
+/// Record a popped request's `queue`-stage span (time spent waiting for
+/// a runner to take it).  Queue/assemble spans are labelled by the
+/// request's cache *intent* (`want_cache`); the forward span relabels by
+/// the path actually taken.
+fn record_queue_wait(metrics: &ServeMetrics, req: &ScoreRequest, now: Instant) {
+    metrics.stages.queue[req.arm.min(NUM_ARMS - 1)][usize::from(req.want_cache)]
+        .record(now.saturating_duration_since(req.enqueued_at));
+}
+
+/// Batches at most this large borrow a stack-allocated query slice; the
+/// rare larger batch falls back to a heap `Vec` (one allocation per
+/// *batch*, not per request).
+const STACK_QUERIES: usize = 64;
+
+/// A context cache freshly minted against `snapshot`, or `None` when the
+/// model has no incremental path.
+fn fresh_cache(snapshot: &ModelSnapshot, version: u64) -> Option<ContextCache> {
+    snapshot.model.new_context_cache().map(|state| ContextCache { state, generation: version })
 }
 
 #[cfg(test)]
@@ -683,6 +799,7 @@ mod tests {
     use super::*;
     use crate::snapshot::ModelSnapshot;
     use irs_core::InfluenceRecommender;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Deterministic stand-in: answers `base + path.len()`, unless the
     /// objective is reachable.
@@ -754,7 +871,7 @@ mod tests {
     }
 
     /// A [`Walker`] whose first batched call parks until the test opens
-    /// the gate, so a backlog builds up behind a busy worker.
+    /// the gate, so a backlog builds up behind a busy runner.
     struct Gated {
         walker: Walker,
         gate: Arc<(Mutex<Gate>, Condvar)>,
@@ -790,8 +907,8 @@ mod tests {
         }
     }
 
-    /// Park the single worker on a first request, queue `k` more behind
-    /// it, release the worker, and return how many batches the backlog
+    /// Park the single runner on a first request, queue `k` more behind
+    /// it, release the runner, and return how many batches the backlog
     /// took.  Every answer is checked against the scalar recommender.
     fn backlog_batches(max_batch: usize, k: usize) -> u64 {
         let gate = Arc::new((Mutex::new(Gate::default()), Condvar::new()));
@@ -893,7 +1010,7 @@ mod tests {
     #[test]
     fn oversized_batches_fall_back_to_the_heap_path() {
         // A backlog larger than the stack query buffer, drained as one
-        // batch, exercises the heap fallback in `worker_loop`.
+        // batch, exercises the heap fallback in `score_batch`.
         assert_eq!(backlog_batches(STACK_QUERIES + 8, STACK_QUERIES + 8), 1);
     }
 
@@ -930,5 +1047,270 @@ mod tests {
         assert!((s.mean_batch() - 4.0).abs() < 1e-12);
         let empty = StatsSnapshot { requests: 0, batches: 0, gave_up: 0, ..s };
         assert_eq!(empty.mean_batch(), 0.0);
+    }
+
+    /// Build an engine serving `model` on the stable arm.
+    fn engine_with(
+        model: impl InfluenceRecommender + Send + Sync + 'static,
+        policy: BatchPolicy,
+    ) -> Arc<Engine> {
+        let registry =
+            Arc::new(SnapshotRegistry::new(ModelSnapshot::in_memory("test", Box::new(model))));
+        Arc::new(Engine::start(registry, policy))
+    }
+
+    /// Where a [`Turnstile`] model's batched calls stand.
+    #[derive(Default)]
+    struct Passage {
+        /// The thread of every batched call so far, in entry order.
+        entered: Vec<std::thread::ThreadId>,
+        /// How many calls may return.
+        released: usize,
+    }
+
+    type Passageway = Arc<(Mutex<Passage>, Condvar)>;
+
+    /// A [`Walker`] whose batched calls record the thread they run on and
+    /// park until the test has let that many calls through.
+    struct Turnstile {
+        walker: Walker,
+        gate: Passageway,
+    }
+
+    impl InfluenceRecommender for Turnstile {
+        fn name(&self) -> String {
+            "turnstile".into()
+        }
+        fn next_item(
+            &self,
+            user: UserId,
+            history: &[ItemId],
+            objective: ItemId,
+            path: &[ItemId],
+        ) -> Option<ItemId> {
+            self.walker.next_item(user, history, objective, path)
+        }
+        fn next_items_into(&self, queries: &[NextQuery<'_>], out: &mut Vec<Option<ItemId>>) {
+            let (state, cv) = &*self.gate;
+            let mut passage = state.lock().unwrap();
+            passage.entered.push(std::thread::current().id());
+            let call = passage.entered.len();
+            cv.notify_all();
+            while passage.released < call {
+                passage = cv.wait(passage).unwrap();
+            }
+            drop(passage);
+            out.extend(
+                queries.iter().map(|q| self.next_item(q.user, q.history, q.objective, q.path)),
+            );
+        }
+    }
+
+    /// An engine over a [`Turnstile`] that lets `released` calls through.
+    fn turnstile_engine(policy: BatchPolicy, released: usize) -> (Arc<Engine>, Passageway) {
+        let passage = Passage { entered: Vec::new(), released };
+        let gate = Arc::new((Mutex::new(passage), Condvar::new()));
+        let model = Turnstile { walker: Walker { base: 10 }, gate: gate.clone() };
+        (engine_with(model, policy), gate)
+    }
+
+    /// Block until `cond` holds at the turnstile.
+    fn wait_for(gate: &Passageway, cond: impl Fn(&Passage) -> bool) {
+        let (state, cv) = &**gate;
+        let mut passage = state.lock().unwrap();
+        while !cond(&passage) {
+            passage = cv.wait(passage).unwrap();
+        }
+    }
+
+    /// Let the first `calls` batched calls return.
+    fn let_through(gate: &Passageway, calls: usize) {
+        let (state, cv) = &**gate;
+        state.lock().unwrap().released = calls;
+        cv.notify_all();
+    }
+
+    #[test]
+    fn a_lone_request_is_scored_on_the_calling_thread() {
+        let (eng, gate) = turnstile_engine(BatchPolicy::default(), usize::MAX);
+        assert_eq!(eng.next_item(0, vec![1], 99, vec![]), Some(10));
+        assert_eq!(gate.0.lock().unwrap().entered, [std::thread::current().id()]);
+        eng.shutdown();
+    }
+
+    #[test]
+    fn a_runner_returns_once_its_own_batch_is_delivered() {
+        let policy = BatchPolicy { max_batch: 4, workers: 1, queue_capacity: 64 };
+        let (eng, gate) = turnstile_engine(policy, 0);
+        let (returned, a_returned) = std::sync::mpsc::channel();
+        let a = {
+            let eng = eng.clone();
+            std::thread::spawn(move || {
+                let answer = eng.next_item(0, vec![], 99, vec![]);
+                returned.send(()).unwrap();
+                answer
+            })
+        };
+        wait_for(&gate, |p| p.entered.len() == 1);
+        // B queues behind A's parked batch: the only role is taken.
+        let b = {
+            let eng = eng.clone();
+            std::thread::spawn(move || eng.next_item(1, vec![], 99, vec![10]))
+        };
+        while eng.queue.inner.lock().unwrap().requests.is_empty() {
+            std::thread::yield_now();
+        }
+        let_through(&gate, 1);
+        // A hands the role to B and returns, though B's batch cannot
+        // finish until a second call is let through.
+        let in_time = a_returned.recv_timeout(std::time::Duration::from_secs(20)).is_ok();
+        if !in_time {
+            let_through(&gate, usize::MAX);
+        }
+        assert!(in_time, "the runner stayed to score the batch it handed off");
+        let a_id = a.thread().id();
+        assert_eq!(a.join().unwrap(), Some(10));
+        wait_for(&gate, |p| p.entered.len() == 2);
+        assert!(!b.is_finished(), "B's batch is parked in the model");
+        let b_id = b.thread().id();
+        assert_eq!(gate.0.lock().unwrap().entered, [a_id, b_id], "each batch ran on its runner");
+        let_through(&gate, 2);
+        assert_eq!(b.join().unwrap(), Some(11));
+        eng.shutdown();
+    }
+
+    /// A [`Walker`] that records the most batched calls inside it at once.
+    struct Census {
+        walker: Walker,
+        inside: AtomicUsize,
+        most: Arc<AtomicUsize>,
+    }
+
+    impl InfluenceRecommender for Census {
+        fn name(&self) -> String {
+            "census".into()
+        }
+        fn next_item(
+            &self,
+            user: UserId,
+            history: &[ItemId],
+            objective: ItemId,
+            path: &[ItemId],
+        ) -> Option<ItemId> {
+            self.walker.next_item(user, history, objective, path)
+        }
+        fn next_items_into(&self, queries: &[NextQuery<'_>], out: &mut Vec<Option<ItemId>>) {
+            let now = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
+            self.most.fetch_max(now, Ordering::SeqCst);
+            // Linger, so an overlapping call would be counted.
+            std::thread::yield_now();
+            out.extend(
+                queries.iter().map(|q| self.next_item(q.user, q.history, q.objective, q.path)),
+            );
+            self.inside.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// The `r`-th request of burst thread `t`: varied paths and
+    /// objectives, so some answers are `None`.
+    fn burst_query(t: usize, r: usize) -> (UserId, Vec<ItemId>, ItemId, Vec<ItemId>) {
+        (t, vec![t, r], 11 + (t + r) % 5, vec![7; (t + r) % 3])
+    }
+
+    #[test]
+    fn a_burst_never_scores_more_than_workers_batches_at_once() {
+        const THREADS: usize = 16;
+        const REQUESTS: usize = 50;
+        let scalar = Walker { base: 10 };
+        for workers in 1..=3 {
+            let most = Arc::new(AtomicUsize::new(0));
+            let model = Census {
+                walker: Walker { base: 10 },
+                inside: AtomicUsize::new(0),
+                most: most.clone(),
+            };
+            let eng = engine_with(model, BatchPolicy { max_batch: 4, workers, queue_capacity: 8 });
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let eng = eng.clone();
+                    std::thread::spawn(move || {
+                        (0..REQUESTS)
+                            .map(|r| {
+                                let (user, history, objective, path) = burst_query(t, r);
+                                eng.next_item(user, history, objective, path)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for (t, h) in handles.into_iter().enumerate() {
+                for (r, got) in h.join().unwrap().into_iter().enumerate() {
+                    let (user, history, objective, path) = burst_query(t, r);
+                    let want = scalar.next_item(user, &history, objective, &path);
+                    assert_eq!(got, want, "workers {workers}, thread {t}, request {r}");
+                }
+            }
+            let most = most.load(Ordering::SeqCst);
+            assert!(most <= workers, "{most} batches scored at once under workers {workers}");
+            assert_eq!(eng.stats().requests, (THREADS * REQUESTS) as u64);
+            {
+                let inner = eng.queue.inner.lock().unwrap();
+                assert_eq!(inner.runners, 0, "every role was given up");
+                assert_eq!(inner.pool.len(), workers, "every buffer set is back in the pool");
+            }
+            eng.shutdown();
+        }
+    }
+
+    /// The objective [`Brittle`] panics on.
+    const POISON: ItemId = 666;
+
+    /// A [`Walker`] whose batched call panics when a query aims at
+    /// [`POISON`].
+    struct Brittle(Walker);
+
+    impl InfluenceRecommender for Brittle {
+        fn name(&self) -> String {
+            "brittle".into()
+        }
+        fn next_item(
+            &self,
+            user: UserId,
+            history: &[ItemId],
+            objective: ItemId,
+            path: &[ItemId],
+        ) -> Option<ItemId> {
+            self.0.next_item(user, history, objective, path)
+        }
+        fn next_items_into(&self, queries: &[NextQuery<'_>], out: &mut Vec<Option<ItemId>>) {
+            assert!(queries.iter().all(|q| q.objective != POISON), "poisoned objective");
+            out.extend(
+                queries.iter().map(|q| self.next_item(q.user, q.history, q.objective, q.path)),
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_model_answers_none_and_the_engine_keeps_answering() {
+        let eng = engine_with(Brittle(Walker { base: 10 }), BatchPolicy::default());
+        assert_eq!(eng.next_item(0, vec![], POISON, vec![]), None, "the poisoned batch");
+        assert_eq!(eng.next_item(0, vec![], 99, vec![]), Some(10), "the runner carried on");
+        let handles: Vec<_> = (0..8usize)
+            .map(|t| {
+                let eng = eng.clone();
+                std::thread::spawn(move || eng.next_item(t, vec![], 99, vec![t]))
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), Some(11));
+        }
+        let stats = eng.stats();
+        assert_eq!((stats.requests, stats.gave_up), (10, 1));
+        {
+            let inner = eng.queue.inner.lock().unwrap();
+            assert_eq!(inner.runners, 0, "the panic released no role twice and leaked none");
+            assert_eq!(inner.pool.len(), 2);
+        }
+        eng.shutdown();
     }
 }

@@ -30,7 +30,7 @@ pub struct RequestWorkspace {
     /// static so setting it never allocates).
     pub(crate) content_type: &'static str,
     /// Scheduler round-trip workspace: reply slot + query staging
-    /// buffers that travel to the batch worker and come back.
+    /// buffers that travel with the queued request and come back.
     pub caller: EngineCaller,
 }
 

@@ -23,7 +23,9 @@
 //! `serve` exposes the online serving subsystem (`irs_serve`): per-user
 //! sessions, work-conserving micro-batching (a request never waits for
 //! co-travellers; batches form from the queue backlog, up to
-//! `--max-batch`), `POST /v1/admin/swap` hot-swaps of
+//! `--max-batch`, and are scored on the HTTP worker threads themselves:
+//! `--workers W`, default 2, caps how many score at once),
+//! `POST /v1/admin/swap` hot-swaps of
 //! retrained snapshots, and incremental per-session context caches
 //! (budgeted by `--context-cache-mb`; hot-swaps invalidate them).
 //! With `--online-train` it also runs a background trainer that folds
@@ -483,7 +485,7 @@ fn cmd_serve(opts: &Opts) -> ExitCode {
     match server.local_addr() {
         Ok(addr) => log_info!(
             "serve",
-            "serving {label} on http://{addr} ({} items, {} users; max_batch {}, {} workers)",
+            "serving {label} on http://{addr} ({} items, {} users; max_batch {}, {} scoring at once)",
             dataset.num_items,
             dataset.num_users,
             opts.max_batch,
