@@ -6,7 +6,7 @@
 
 use irs_data::split::{pad_to, PaddingScheme, SubSeq};
 use irs_data::{pad_token, ItemId, UserId};
-use irs_nn::{Activation, Adam, CacheState, Embedding, FwdCtx, Linear, Optimizer, ParamStore};
+use irs_nn::{Activation, Adam, Embedding, FwdCtx, Linear, Optimizer, ParamStore};
 use irs_tensor::{Graph, Tensor, Var};
 use rand::{seq::SliceRandom, SeedableRng};
 
@@ -42,31 +42,6 @@ impl Default for CaserConfig {
             dropout: 0.1,
             train: NeuralTrainConfig::default(),
         }
-    }
-}
-
-/// Per-session incremental state for [`Caser`]: the pre-padded `[L]`
-/// token window last served plus its embedded rows (`[L·D]`).  A served
-/// step slides the window by one, so the next request re-embeds a single
-/// row and shifts the rest.
-pub struct CaserCacheState {
-    window: Vec<ItemId>,
-    rows: Vec<f32>,
-    primed: bool,
-}
-
-impl CacheState for CaserCacheState {
-    fn resident_bytes(&self) -> usize {
-        self.window.capacity() * std::mem::size_of::<ItemId>()
-            + self.rows.capacity() * std::mem::size_of::<f32>()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -238,18 +213,6 @@ impl Caser {
         let b = flat_windows.len() / l;
         let mut e = self.item_emb.infer_lookup(&self.store, flat_windows); // [B*L, D]
         e.reshape_in_place(&[b, l, d]);
-        self.infer_forward_embedded(users, &e)
-    }
-
-    /// The convolutional body of [`Caser::infer_forward`] starting from
-    /// already-embedded windows `e: [B, L, D]` — the incremental path
-    /// ([`Caser::score_incremental`]) enters here with rows carried over
-    /// from the previous serve step, which is bitwise-identical because an
-    /// embedding lookup is a row copy.
-    fn infer_forward_embedded(&self, users: &[UserId], e: &Tensor) -> Tensor {
-        let b = e.shape()[0];
-        let l = e.shape()[1];
-        let d = e.shape()[2];
 
         let n_h_total: usize = self.conv_h.iter().map(Linear::out_dim).sum();
         let z_dim = n_h_total + d * self.n_v;
@@ -370,53 +333,6 @@ impl SequentialScorer for Caser {
         logits.data().chunks(vocab).map(|row| row[..self.num_items].to_vec()).collect()
     }
 
-    /// Caser's fixed-size window makes every configuration incrementable:
-    /// the cache rolls embedded rows instead of re-embedding the window.
-    fn new_incremental_state(&self) -> Option<Box<dyn CacheState>> {
-        Some(Box::new(CaserCacheState { window: Vec::new(), rows: Vec::new(), primed: false }))
-    }
-
-    /// Roll the embedded window: find the smallest shift aligning the
-    /// cached `[L]` token window with the new one (1 per served step, 0 on
-    /// a repeat query), move the overlapping rows, and re-embed only the
-    /// freshly exposed tail.  The convolutional body then runs on rows
-    /// identical to a cold embed, so scores are bitwise-equal to
-    /// [`Caser::score`].
-    fn score_incremental(
-        &self,
-        user: UserId,
-        history: &[ItemId],
-        state: &mut dyn CacheState,
-    ) -> (Vec<f32>, bool) {
-        let Some(cache) = state.as_any_mut().downcast_mut::<CaserCacheState>() else {
-            return (self.score(user, history), false);
-        };
-        let pad = pad_token(self.num_items);
-        let l = self.l_window;
-        let d = self.cfg_dim;
-        let window = pad_to(history, l, pad, PaddingScheme::Pre);
-        let shift = if cache.primed {
-            (0..=l).find(|&s| cache.window[s..] == window[..l - s]).unwrap_or(l)
-        } else {
-            l
-        };
-        let hit = cache.primed && shift < l;
-        cache.rows.resize(l * d, 0.0);
-        if shift > 0 && shift < l {
-            cache.rows.copy_within(shift * d.., 0);
-        }
-        for (i, &token) in window.iter().enumerate().skip(l - shift) {
-            let row = self.item_emb.infer_lookup(&self.store, &[token]);
-            cache.rows[i * d..(i + 1) * d].copy_from_slice(row.data());
-        }
-        cache.window.clear();
-        cache.window.extend_from_slice(&window);
-        cache.primed = true;
-        let e = Tensor::from_vec(cache.rows.clone(), &[1, l, d]);
-        let logits = self.infer_forward_embedded(&[user % self.num_users], &e);
-        (logits.data()[..self.num_items].to_vec(), hit)
-    }
-
     fn name(&self) -> &'static str {
         "Caser"
     }
@@ -454,36 +370,6 @@ mod tests {
             }
         }
         assert!(hits >= 6, "Caser learned only {hits}/8 transitions");
-    }
-
-    #[test]
-    fn cached_scores_match_cold_bitwise() {
-        let seqs = cycle_seqs(8, 24, 10);
-        let cfg = CaserConfig {
-            dim: 16,
-            l_window: 4,
-            heights: vec![2, 3],
-            n_h: 8,
-            n_v: 2,
-            dropout: 0.0,
-            train: NeuralTrainConfig { epochs: 2, lr: 3e-3, ..Default::default() },
-        };
-        let model = Caser::fit(&seqs, 8, 24, &cfg);
-        let mut state = model.new_incremental_state().expect("Caser always has a rolling window");
-        let session = [0usize, 3, 1, 4, 2, 5, 7, 6, 1, 0];
-        for step in 1..=session.len() {
-            let history = &session[..step];
-            let (scores, hit) = model.score_incremental(0, history, state.as_mut());
-            // Step 1 primes; every later step rolls the fixed window by
-            // one (no slide-induced misses — the window never grows).
-            assert_eq!(hit, step > 1, "step {step}");
-            assert_eq!(scores, model.score(0, history), "step {step}");
-        }
-        assert!(state.resident_bytes() > 0);
-        let mutated = [5usize, 2, 0, 6];
-        let (scores, hit) = model.score_incremental(0, &mutated, state.as_mut());
-        assert!(!hit, "disjoint window must rebuild");
-        assert_eq!(scores, model.score(0, &mutated));
     }
 
     #[test]

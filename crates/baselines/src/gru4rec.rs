@@ -2,10 +2,8 @@
 
 use irs_data::split::SubSeq;
 use irs_data::{pad_token, ItemId, UserId};
-use irs_nn::{
-    Adam, CacheState, Embedding, FwdCtx, Gru, GruStreamState, Linear, Optimizer, ParamStore,
-};
-use irs_tensor::{Graph, Tensor};
+use irs_nn::{Adam, Embedding, FwdCtx, Gru, Linear, Optimizer, ParamStore};
+use irs_tensor::Graph;
 use rand::SeedableRng;
 
 use crate::batch::make_lm_batches;
@@ -27,28 +25,6 @@ pub struct Gru4RecConfig {
 impl Default for Gru4RecConfig {
     fn default() -> Self {
         Gru4RecConfig { dim: 32, hidden: 32, max_len: 24, train: NeuralTrainConfig::default() }
-    }
-}
-
-/// Per-session incremental state for [`Gru4Rec`]: the window tokens the
-/// carried hidden state has consumed, plus the streaming GRU state itself
-/// (fetched inference weights and the `[hidden]` vector).
-pub struct GruCacheState {
-    tokens: Vec<ItemId>,
-    stream: GruStreamState,
-}
-
-impl CacheState for GruCacheState {
-    fn resident_bytes(&self) -> usize {
-        self.tokens.capacity() * std::mem::size_of::<ItemId>() + self.stream.resident_bytes()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -218,56 +194,6 @@ impl SequentialScorer for Gru4Rec {
         out
     }
 
-    /// A recurrence is inherently append-only, so GRU4Rec has an
-    /// incremental path in every configuration (no layout switch needed).
-    fn new_incremental_state(&self) -> Option<Box<dyn CacheState>> {
-        Some(Box::new(GruCacheState {
-            tokens: Vec::new(),
-            stream: self.gru.stream_state(&self.store),
-        }))
-    }
-
-    /// Carry the GRU hidden state across serve steps: a hit feeds only the
-    /// new suffix tokens through [`Gru::stream_step`].  The context window
-    /// advances in hops ([`crate::hopping_window_start`]), so the consumed
-    /// prefix stays valid between hops even when the session outgrows
-    /// `max_len`; on a hop the prefix check fails and the bounded window
-    /// is replayed from a reset state.  Bitwise-identical to
-    /// [`Gru4Rec::score`]: the streaming step is pinned against
-    /// [`Gru::infer_last`], which is pinned against the scalar graph path.
-    fn score_incremental(
-        &self,
-        user: UserId,
-        history: &[ItemId],
-        state: &mut dyn CacheState,
-    ) -> (Vec<f32>, bool) {
-        let Some(cache) = state.as_any_mut().downcast_mut::<GruCacheState>() else {
-            return (self.score(user, history), false);
-        };
-        if history.is_empty() {
-            return (vec![0.0; self.num_items], false);
-        }
-        let start = crate::hopping_window_start(history.len(), self.max_len);
-        let recent = &history[start..];
-        let hit = !cache.tokens.is_empty()
-            && recent.len() >= cache.tokens.len()
-            && recent[..cache.tokens.len()] == cache.tokens[..];
-        if !hit {
-            cache.tokens.clear();
-            cache.stream.reset();
-        }
-        let consumed = cache.tokens.len();
-        for &tok in &recent[consumed..] {
-            let x = self.emb.infer_lookup(&self.store, &[tok]);
-            self.gru.stream_step(&self.store, &mut cache.stream, x.data());
-            cache.tokens.push(tok);
-        }
-        let hidden = cache.stream.hidden();
-        let h = Tensor::from_vec(hidden.to_vec(), &[1, hidden.len()]);
-        let logits = self.out.infer(&self.store, &h);
-        (logits.data()[..self.num_items].to_vec(), hit)
-    }
-
     fn name(&self) -> &'static str {
         "GRU4Rec"
     }
@@ -316,44 +242,6 @@ mod tests {
         };
         let model = Gru4Rec::fit(&seqs, 5, &cfg);
         assert_eq!(model.score(0, &[]), vec![0.0; 5]);
-    }
-
-    #[test]
-    fn cached_scores_match_cold_bitwise() {
-        let seqs = cycle_seqs(8, 24, 10);
-        let cfg = Gru4RecConfig {
-            dim: 16,
-            hidden: 16,
-            max_len: 6,
-            train: NeuralTrainConfig { epochs: 2, lr: 3e-3, ..Default::default() },
-        };
-        let model = Gru4Rec::fit(&seqs, 8, &cfg);
-        let mut state = model.new_incremental_state().expect("GRU always has a stream state");
-        let session = [0usize, 3, 1, 4, 2, 5, 7, 6, 1, 0, 4, 3, 6, 2];
-        let mut long_session_hits = 0;
-        for step in 1..=session.len() {
-            let history = &session[..step];
-            let (scores, hit) = model.score_incremental(0, history, state.as_mut());
-            // Step 1 primes; afterwards the hopping window keeps the
-            // consumed prefix valid on every step that doesn't hop.
-            let expect = step > 1
-                && crate::hopping_window_start(step, cfg.max_len)
-                    == crate::hopping_window_start(step - 1, cfg.max_len);
-            assert_eq!(hit, expect, "step {step}");
-            if hit && step > cfg.max_len {
-                long_session_hits += 1;
-            }
-            assert_eq!(scores, model.score(0, history), "step {step}");
-        }
-        assert!(
-            long_session_hits > 0,
-            "sessions outgrowing max_len must keep cache hits between hops"
-        );
-        assert!(state.resident_bytes() > 0);
-        let mutated = [5usize, 2, 0];
-        let (scores, hit) = model.score_incremental(0, &mutated, state.as_mut());
-        assert!(!hit, "changed prefix must rebuild");
-        assert_eq!(scores, model.score(0, &mutated));
     }
 
     #[test]

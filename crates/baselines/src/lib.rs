@@ -31,14 +31,13 @@ mod transrec;
 pub use batch::{make_lm_batches, LmBatch};
 pub use bert4rec::{Bert4Rec, Bert4RecConfig};
 pub use bpr::{BprConfig, BprMf};
-pub use caser::{Caser, CaserCacheState, CaserConfig};
-pub use gru4rec::{Gru4Rec, Gru4RecConfig, GruCacheState};
+pub use caser::{Caser, CaserConfig};
+pub use gru4rec::{Gru4Rec, Gru4RecConfig};
 pub use pop::Pop;
-pub use sasrec::{SasRec, SasRecCacheState, SasRecConfig};
+pub use sasrec::{SasRec, SasRecConfig};
 pub use transrec::{TransRec, TransRecConfig};
 
 use irs_data::{ItemId, UserId};
-use irs_nn::CacheState;
 
 /// A model that scores every item as the candidate next interaction.
 ///
@@ -75,33 +74,6 @@ pub trait SequentialScorer {
         users.iter().zip(histories).map(|(&u, h)| self.score(u, h)).collect()
     }
 
-    /// A fresh per-session incremental state for
-    /// [`SequentialScorer::score_incremental`], or `None` when this model
-    /// has no incremental path (the default).  Models whose encoding is
-    /// append-only over the history ([`SasRec`] in that layout,
-    /// [`Gru4Rec`], [`Caser`]) return their concrete [`CacheState`].
-    fn new_incremental_state(&self) -> Option<Box<dyn CacheState>> {
-        None
-    }
-
-    /// Score using (and updating) a per-session incremental `state`
-    /// previously obtained from
-    /// [`SequentialScorer::new_incremental_state`].  Returns the scores
-    /// plus whether the stored prefix was reused (`true`) instead of
-    /// rebuilt.  The scores must be exactly what
-    /// [`SequentialScorer::score`] returns — the incremental paths are
-    /// bitwise-pinned to the cold re-encode by property tests.  The
-    /// default ignores the state and scores cold.
-    fn score_incremental(
-        &self,
-        user: UserId,
-        history: &[ItemId],
-        state: &mut dyn CacheState,
-    ) -> (Vec<f32>, bool) {
-        let _ = state;
-        (self.score(user, history), false)
-    }
-
     /// Display name used in experiment tables.
     fn name(&self) -> &'static str;
 }
@@ -118,17 +90,6 @@ impl<S: SequentialScorer + ?Sized> SequentialScorer for &S {
     }
     fn score_batch(&self, users: &[UserId], histories: &[&[ItemId]]) -> Vec<Vec<f32>> {
         (**self).score_batch(users, histories)
-    }
-    fn new_incremental_state(&self) -> Option<Box<dyn CacheState>> {
-        (**self).new_incremental_state()
-    }
-    fn score_incremental(
-        &self,
-        user: UserId,
-        history: &[ItemId],
-        state: &mut dyn CacheState,
-    ) -> (Vec<f32>, bool) {
-        (**self).score_incremental(user, history, state)
     }
     fn name(&self) -> &'static str {
         (**self).name()
@@ -147,17 +108,6 @@ impl<S: SequentialScorer + ?Sized> SequentialScorer for Box<S> {
     }
     fn score_batch(&self, users: &[UserId], histories: &[&[ItemId]]) -> Vec<Vec<f32>> {
         (**self).score_batch(users, histories)
-    }
-    fn new_incremental_state(&self) -> Option<Box<dyn CacheState>> {
-        (**self).new_incremental_state()
-    }
-    fn score_incremental(
-        &self,
-        user: UserId,
-        history: &[ItemId],
-        state: &mut dyn CacheState,
-    ) -> (Vec<f32>, bool) {
-        (**self).score_incremental(user, history, state)
     }
     fn name(&self) -> &'static str {
         (**self).name()
@@ -197,12 +147,13 @@ impl Default for NeuralTrainConfig {
 /// Start index of the hopping context window for a history of `len`
 /// interactions under a model window budget of `max_len`.
 ///
-/// Incremental session caches (the per-layer K/V rows of SASRec and of
-/// IRN's append-only layout, GRU4Rec's carried hidden state) are prefix
-/// caches: a hit requires the previous window to be a prefix of the
-/// current one.  IRN calls this with its `max_len − 1`, keeping one slot
-/// for the objective.  A window that slides by one every step
-/// (`len - max_len`) changes its first token on *every* step past
+/// Two windows follow this policy.  IRN's append-only layout calls it
+/// with its `max_len − 1`, keeping one slot for the objective; its
+/// session cache (per-layer K/V rows) is a prefix cache, so a hit
+/// requires the previous window to be a prefix of the current one.
+/// GRU4Rec's cold window keeps the same hops, which every recorded
+/// GRU4Rec result was scored with.  A window that slides by one every
+/// step (`len - max_len`) changes its first token on *every* step past
 /// `max_len`, so long sessions degrade to a full per-step rebuild.
 /// Instead the window start advances in hops of `H = max(1, max_len/2)`:
 ///
@@ -216,8 +167,8 @@ impl Default for NeuralTrainConfig {
 /// window hops forward and the bounded remainder (at most `max_len` rows,
 /// reusing the state's existing buffers) is re-encoded.  The window length
 /// stays within `(max_len - H, max_len]` — never longer than the position
-/// table — and both the cold scorers and the cached paths call this same
-/// policy, keeping them bitwise identical.
+/// table — and IRN's cold and cached paths call this same policy,
+/// keeping them bitwise identical.
 pub fn hopping_window_start(len: usize, max_len: usize) -> usize {
     let l = max_len.max(1);
     if len <= l {

@@ -71,7 +71,6 @@ fn models() -> &'static Models {
                     heads: 2,
                     max_len: 8,
                     dropout: 0.0,
-                    layout: Default::default(),
                     train: train.clone(),
                 },
             )),

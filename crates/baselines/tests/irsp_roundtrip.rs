@@ -136,15 +136,8 @@ fn caser_round_trips_bitwise_through_infer_path() {
 #[test]
 fn sasrec_round_trips_bitwise() {
     let (dataset, split) = world();
-    let cfg = SasRecConfig {
-        dim: 8,
-        layers: 2,
-        heads: 2,
-        max_len: 8,
-        dropout: 0.0,
-        layout: Default::default(),
-        train: train_cfg(),
-    };
+    let cfg =
+        SasRecConfig { dim: 8, layers: 2, heads: 2, max_len: 8, dropout: 0.0, train: train_cfg() };
     let model = SasRec::fit(&split.train, dataset.num_items, &cfg);
     let mut bytes = Vec::new();
     model.save(&mut bytes).unwrap();

@@ -60,7 +60,6 @@ fn bench_training(c: &mut Criterion) {
             heads: 2,
             max_len: MAX_LEN,
             dropout: 0.1,
-            layout: Default::default(),
             train: train_cfg(),
         };
         b.iter(|| black_box(SasRec::fit(&data, NUM_ITEMS, &cfg)))
@@ -73,7 +72,6 @@ fn bench_training(c: &mut Criterion) {
             heads: 2,
             max_len: MAX_LEN,
             dropout: 0.0,
-            layout: Default::default(),
             train: train_cfg(),
         };
         b.iter(|| black_box(SasRec::fit(&data, NUM_ITEMS, &cfg)))

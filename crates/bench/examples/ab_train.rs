@@ -60,7 +60,6 @@ fn main() {
             heads: 2,
             max_len: 16,
             dropout: 0.1,
-            layout: Default::default(),
             train: train_cfg(epochs),
         };
         let t0 = Instant::now();

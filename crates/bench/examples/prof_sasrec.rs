@@ -16,7 +16,6 @@ fn main() {
         heads: 2,
         max_len: 16,
         dropout: 0.1,
-        layout: Default::default(),
         train: NeuralTrainConfig {
             epochs: 60,
             batch_size: 16,

@@ -10,9 +10,9 @@
 //! Every positional argument is a fresh-results file (the artifacts the
 //! CI bench steps write via `CRITERION_JSON`); they are merged before
 //! the diff, so one checked-in baseline can cover several bench targets
-//! (currently `inference`, `tensor_ops` and `serving`; `path_generation`
-//! and `training` stay out until their CI medians prove stable — their
-//! fresh entries are reported as `NEW` without gating).  `FRESH` defaults
+//! (currently `inference`, `tensor_ops`, `serving` and `training`;
+//! `path_generation` stays out until its CI medians prove stable — its
+//! fresh entries would be reported as `NEW` without gating).  `FRESH` defaults
 //! to `BENCH_inference.json`, the baseline to `tests/bench_baseline.json`.
 //! The gate fails (exit 1) when any benchmark's fresh median regresses
 //! more than its threshold against the baseline *after host-speed

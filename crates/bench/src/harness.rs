@@ -336,7 +336,6 @@ impl Harness {
                 heads: 2,
                 max_len: self.config.max_len,
                 dropout: 0.1,
-                layout: Default::default(),
                 train: self.config.train_cfg(),
             },
         )

@@ -563,13 +563,13 @@ impl Irn {
     /// items (one slot stays reserved for the objective).  Up to `T − 1`
     /// items the whole context is kept; past that the start advances in
     /// hops of `H = (T − 1) / 2` ([`irs_baselines::hopping_window_start`],
-    /// the policy SASRec and GRU4Rec share), so the window holds more than
-    /// `T − 1 − H` and at most `T − 1` items, and the encoded prefix stays
-    /// stable for `H` steps at a time.  An empty context is substituted with a
-    /// single PAD token so there is always a last context row to read
-    /// logits from — the one place this layout is not comparable to the
-    /// pre-padded one, which reads a PAD row out of a fully padded window
-    /// instead.
+    /// the policy GRU4Rec's cold window also follows), so the window holds
+    /// more than `T − 1 − H` and at most `T − 1` items, and the encoded
+    /// prefix stays stable for `H` steps at a time.  An empty context is
+    /// substituted with a single PAD token so there is always a last context
+    /// row to read logits from — the one place this layout is not
+    /// comparable to the pre-padded one, which reads a PAD row out of a
+    /// fully padded window instead.
     fn append_window(&self, context: &[ItemId]) -> Vec<ItemId> {
         let start = irs_baselines::hopping_window_start(context.len(), self.config.max_len - 1);
         if context[start..].is_empty() {
@@ -814,10 +814,6 @@ impl CacheState for IrnCacheState {
         total
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
@@ -932,9 +928,12 @@ mod tests {
         }
     }
 
-    /// A fast-to-train append-only model for the cache tests.
+    /// A fast-to-train append-only model for the cache tests, at the two
+    /// layers every preset serves, so each block's appended row feeds the
+    /// next block's.
     fn append_config() -> IrnConfig {
         IrnConfig {
+            layers: 2,
             layout: EncodingLayout::AppendOnly,
             train: NeuralTrainConfig { epochs: 2, lr: 3e-3, ..Default::default() },
             ..quick_config()

@@ -180,10 +180,9 @@ pub trait InfluenceRecommender {
 
     /// A fresh incremental per-session state for
     /// [`InfluenceRecommender::next_item_cached`], or `None` when this
-    /// model has no incremental path (the default).  Models whose encoded
-    /// prefix is append-only ([`Irn`] with
-    /// [`EncodingLayout::AppendOnly`], the cached baseline families)
-    /// return their concrete [`CacheState`].
+    /// model has no incremental path (the default).  Only [`Irn`] in
+    /// [`EncodingLayout::AppendOnly`], the one model served per session,
+    /// returns one: its [`IrnCacheState`].
     fn new_context_cache(&self) -> Option<Box<dyn CacheState>> {
         None
     }

@@ -92,21 +92,6 @@ impl<S: SequentialScorer, D: ItemDistance> InfluenceRecommender for Rec2Inf<S, D
             queries.iter().zip(&scores).map(|(q, s)| self.pick(s, q.history, q.path, q.objective)),
         );
     }
-
-    fn new_context_cache(&self) -> Option<Box<dyn crate::CacheState>> {
-        self.scorer.new_incremental_state()
-    }
-
-    fn next_item_cached(
-        &self,
-        query: &NextQuery<'_>,
-        cache: &mut dyn crate::CacheState,
-    ) -> (Option<ItemId>, bool) {
-        let mut context = query.history.to_vec();
-        context.extend_from_slice(query.path);
-        let (scores, hit) = self.scorer.score_incremental(query.user, &context, cache);
-        (self.pick(&scores, query.history, query.path, query.objective), hit)
-    }
 }
 
 #[cfg(test)]

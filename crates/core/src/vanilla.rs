@@ -6,7 +6,7 @@ use std::sync::{Mutex, PoisonError};
 
 use irs_data::{ItemId, UserId};
 
-use crate::{rec_utils::top_k_unseen, CacheState, InfluenceRecommender, NextQuery};
+use crate::{rec_utils::top_k_unseen, InfluenceRecommender, NextQuery};
 use irs_baselines::SequentialScorer;
 
 /// A plain recommender driven solely by the user's current interest.
@@ -96,21 +96,6 @@ impl<S: SequentialScorer> InfluenceRecommender for Vanilla<S> {
                 .zip(&scores)
                 .map(|(q, s)| top_k_unseen(s, 1, q.history, q.path).into_iter().next()),
         );
-    }
-
-    fn new_context_cache(&self) -> Option<Box<dyn CacheState>> {
-        self.scorer.new_incremental_state()
-    }
-
-    fn next_item_cached(
-        &self,
-        query: &NextQuery<'_>,
-        cache: &mut dyn CacheState,
-    ) -> (Option<ItemId>, bool) {
-        let mut context = query.history.to_vec();
-        context.extend_from_slice(query.path);
-        let (scores, hit) = self.scorer.score_incremental(query.user, &context, cache);
-        (argmax_unseen(&scores, query.history, query.path), hit)
     }
 }
 

@@ -2,7 +2,7 @@
 //! the GRU4Rec baseline.
 //!
 //! Besides the autograd path ([`GruCell::step`] / [`Gru::forward_seq`]),
-//! the cell has a tape-free inference path: [`GruCell::infer_weights`]
+//! the cell has a tape-free inference path: `GruCell::infer_weights`
 //! packs the three input-side gate matrices into one fused `[D, 3H]`
 //! matmul operand (and the two hidden-side matrices into `[H, 2H]`), and
 //! [`Gru::infer_last`] runs the recurrence with reused scratch buffers —
@@ -63,11 +63,6 @@ impl GruCell {
         self.hidden_dim
     }
 
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// One step: `x [B, input_dim]`, `h [B, hidden_dim]` -> new hidden.
     pub fn step<'g>(&self, ctx: &FwdCtx<'g, '_>, x: Var<'g>, h: Var<'g>) -> Var<'g> {
         let z = self.wz.forward2d(ctx, x).add(self.uz.forward2d(ctx, h)).sigmoid();
@@ -82,7 +77,7 @@ impl GruCell {
     /// the hidden-side `[Uz | Ur]` into `[H, 2H]`.  Column-concatenation
     /// leaves every output element's dot product untouched, so the fused
     /// matmuls are bitwise equal to three (resp. two) separate ones.
-    pub fn infer_weights(&self, store: &ParamStore) -> GruInferWeights {
+    fn infer_weights(&self, store: &ParamStore) -> GruInferWeights {
         let (d, hd) = (self.input_dim, self.hidden_dim);
         let wz = store.value(self.wz.weight_id());
         let wr = store.value(self.wr.weight_id());
@@ -117,7 +112,7 @@ impl GruCell {
 
     /// Scratch buffers for [`GruCell::infer_step_in_place`], sized for a
     /// batch of `b` rows and reused across every timestep.
-    pub fn infer_scratch(&self, b: usize) -> GruInferScratch {
+    fn infer_scratch(&self, b: usize) -> GruInferScratch {
         let hd = self.hidden_dim;
         GruInferScratch {
             gates_h: vec![0.0; b * 2 * hd],
@@ -134,7 +129,7 @@ impl GruCell {
     /// Identical arithmetic in identical order as [`GruCell::step`]:
     /// `z = σ(gxᶻ + h·Uz)`, `r = σ(gxʳ + h·Ur)`,
     /// `h̃ = tanh(gxʰ + (r⊙h)·Uh)`, `h ← h + z⊙(h̃ − h)`.
-    pub fn infer_step_in_place(
+    fn infer_step_in_place(
         &self,
         store: &ParamStore,
         iw: &GruInferWeights,
@@ -183,7 +178,7 @@ fn sigmoid(x: f32) -> f32 {
 }
 
 /// Fused tape-free GRU gate weights — see [`GruCell::infer_weights`].
-pub struct GruInferWeights {
+struct GruInferWeights {
     /// `[D, 3H]`: columns `[Wz | Wr | Wh]`.
     w_all: Tensor,
     /// `[3H]`: `[bz | br | bh]`.
@@ -194,7 +189,7 @@ pub struct GruInferWeights {
 
 /// Reusable per-batch scratch for the tape-free GRU recurrence — see
 /// [`GruCell::infer_scratch`].
-pub struct GruInferScratch {
+struct GruInferScratch {
     gates_h: Vec<f32>,
     z: Vec<f32>,
     rh: Vec<f32>,
@@ -301,80 +296,6 @@ impl Gru {
         }
         Tensor::from_vec(out, &[b, hd])
     }
-
-    /// A fresh per-session streaming state (zero hidden vector, packed
-    /// weights, reusable scratch) for [`Gru::stream_step`].
-    pub fn stream_state(&self, store: &ParamStore) -> GruStreamState {
-        GruStreamState {
-            iw: self.cell.infer_weights(store),
-            h: vec![0.0; self.cell.hidden_dim()],
-            scratch: self.cell.infer_scratch(1),
-            gx: vec![0.0; 3 * self.cell.hidden_dim()],
-        }
-    }
-
-    /// Advance the carried hidden state by one timestep (`x_row: [D]`,
-    /// batch of one).  Bitwise equal to the matching step of
-    /// [`Gru::infer_last`]: the fused `[T·B, D] @ [D, 3H]` matmul there
-    /// computes each row's gate pre-activations independently with the
-    /// same `k`-ascending accumulation as this single-row matmul, the
-    /// per-row bias add is the same loop, and the recurrence shares
-    /// [`GruCell::infer_step_in_place`].
-    pub fn stream_step(&self, store: &ParamStore, state: &mut GruStreamState, x_row: &[f32]) {
-        let d = self.cell.input_dim();
-        let hd = self.cell.hidden_dim();
-        assert_eq!(x_row.len(), d, "input row width mismatch");
-        state.gx.iter_mut().for_each(|v| *v = 0.0);
-        matmul_into(x_row, state.iw.w_all.data(), &mut state.gx, 1, d, 3 * hd);
-        for (o, &bb) in state.gx.iter_mut().zip(&state.iw.b_all) {
-            *o += bb;
-        }
-        self.cell.infer_step_in_place(
-            store,
-            &state.iw,
-            &state.gx,
-            &mut state.h,
-            &mut state.scratch,
-        );
-    }
-}
-
-/// Carried per-session GRU state for incremental serving: the hidden
-/// vector plus everything needed to step it without touching the
-/// allocator (packed gate weights, scratch, a one-row gate buffer).
-pub struct GruStreamState {
-    iw: GruInferWeights,
-    h: Vec<f32>,
-    scratch: GruInferScratch,
-    gx: Vec<f32>,
-}
-
-impl GruStreamState {
-    /// Reset the hidden state to zero (a fresh session) while keeping the
-    /// packed weights and scratch.
-    pub fn reset(&mut self) {
-        self.h.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// The carried hidden state `[H]`.
-    pub fn hidden(&self) -> &[f32] {
-        &self.h
-    }
-
-    /// Heap bytes held by this state, packed weights included (each
-    /// stream state owns its own copy of the fused gate weights).
-    pub fn resident_bytes(&self) -> usize {
-        (self.iw.w_all.data().len()
-            + self.iw.b_all.len()
-            + self.iw.u_zr.data().len()
-            + self.h.len()
-            + self.gx.len()
-            + self.scratch.gates_h.len()
-            + self.scratch.z.len()
-            + self.scratch.rh.len()
-            + self.scratch.uh_out.len())
-            * std::mem::size_of::<f32>()
-    }
 }
 
 #[cfg(test)]
@@ -430,26 +351,6 @@ mod tests {
                 assert_eq!(want.to_bits(), got.to_bits(), "row {r} dim {j}: {want} vs {got}");
             }
         }
-    }
-
-    #[test]
-    fn stream_step_is_bitwise_equal_to_infer_last() {
-        let mut r = rng();
-        let mut store = ParamStore::new();
-        let gru = Gru::new(&mut store, "g", 3, 5, &mut r);
-        let x = Tensor::randn(&[1, 6, 3], 1.0, &mut r);
-        let mut state = gru.stream_state(&store);
-        for t in 1..=6usize {
-            state.reset();
-            for ti in 0..t {
-                gru.stream_step(&store, &mut state, &x.data()[ti * 3..(ti + 1) * 3]);
-            }
-            let want = gru.infer_last(&store, &x, &[t]);
-            for (j, (&w, &g)) in want.data().iter().zip(state.hidden()).enumerate() {
-                assert_eq!(w.to_bits(), g.to_bits(), "t={t} dim {j}: {w} vs {g}");
-            }
-        }
-        assert!(state.resident_bytes() > 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and the erased cache-state handle the serving layer stores per
 //! session.
 //!
-//! The transformer families (IRN, SASRec) cache one [`LayerKv`] per
+//! IRN, the one model served per session, caches one [`LayerKv`] per
 //! block: the `wk`/`wv` projection rows of every already-encoded context
 //! position.  Rows are kept in the *un-split* `[n, D]` layout — exactly
 //! the rows `Linear::infer` produces, head-interleaved — so appending a
@@ -14,27 +14,23 @@
 //! to a cold re-encode (see the equivalence contract in
 //! [`crate::infer`]).
 //!
-//! Which concrete state a model keeps (K/V rows, a GRU hidden state, a
-//! rolling embedded window) is the model's business; everything above
-//! the model only needs byte accounting and downcasting, which is what
-//! [`CacheState`] exposes.
+//! The concrete state (for IRN, the K/V rows plus its objective slot)
+//! is the model's business; everything above the model only needs byte
+//! accounting and downcasting, which is what [`CacheState`] exposes.
 
 use std::any::Any;
 
 /// Type-erased per-session incremental state.
 ///
-/// Implemented by each model family's concrete cache (IRN, SASRec,
-/// GRU4Rec, Caser).  The serving layer owns these behind
-/// `Box<dyn CacheState>`: it budgets them by [`CacheState::resident_bytes`]
-/// and hands them back to the owning model, which downcasts via
-/// [`CacheState::as_any_mut`].
+/// Implemented by `irs_core`'s `IrnCacheState`, the only session cache:
+/// IRN is the one model served per session.  The serving layer owns
+/// these behind `Box<dyn CacheState>`: it budgets them by
+/// [`CacheState::resident_bytes`] and hands them back to the owning
+/// model, which downcasts via [`CacheState::as_any_mut`].
 pub trait CacheState: Any + Send {
     /// Approximate heap residency of this state in bytes (used for the
     /// serve-side cache budget, so it should count every owned buffer).
     fn resident_bytes(&self) -> usize;
-
-    /// Upcast for downcasting to the concrete model state.
-    fn as_any(&self) -> &dyn Any;
 
     /// Mutable upcast for downcasting to the concrete model state.
     fn as_any_mut(&mut self) -> &mut dyn Any;
@@ -92,12 +88,6 @@ impl LayerKv {
         self.v.clear();
     }
 
-    /// Keep only the first `n` positions (no-op when `n ≥ len`).
-    pub fn truncate(&mut self, n: usize) {
-        self.k.truncate(n * self.d);
-        self.v.truncate(n * self.d);
-    }
-
     /// Append one position's key and value rows (each `[D]`).
     pub fn push(&mut self, k_row: &[f32], v_row: &[f32]) {
         assert_eq!(k_row.len(), self.d, "key row width mismatch");
@@ -136,9 +126,6 @@ mod tests {
         assert_eq!(kv.len(), 2);
         assert_eq!(kv.key_row(1), &[5.0, 6.0]);
         assert_eq!(kv.value_row(0), &[3.0, 4.0]);
-        kv.truncate(1);
-        assert_eq!(kv.len(), 1);
-        assert_eq!(kv.key_row(0), &[1.0, 2.0]);
         kv.clear();
         assert!(kv.is_empty());
         assert!(kv.bytes() > 0, "capacity is retained after clear");

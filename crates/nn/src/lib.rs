@@ -54,7 +54,7 @@ pub use attention::{
     key_padding_mask, AppendKey, AppendRowOut, AttnBias, MultiHeadAttention,
 };
 pub use embedding::{Embedding, PositionalEncoding};
-pub use gru::{Gru, GruCell, GruInferScratch, GruInferWeights, GruStreamState};
+pub use gru::{Gru, GruCell};
 pub use infer::InferBias;
 pub use kvcache::{CacheState, EncodingLayout, LayerKv};
 pub use linear::{FeedForward, Linear};

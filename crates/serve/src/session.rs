@@ -436,9 +436,6 @@ mod tests {
         fn resident_bytes(&self) -> usize {
             self.0
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
         fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
             self
         }
